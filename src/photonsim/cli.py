@@ -128,6 +128,13 @@ def _steps_from_json(rows) -> list[ProtocolStep]:
     return steps
 
 
+def _templates_from_json(rows) -> list[frozenset[int]]:
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(i) is int for i in row) for row in rows)):
+        raise RegistryError("templates must be a list of lists of basis indices")
+    return [frozenset(row) for row in rows]
+
+
 def cmd_run(args) -> int:
     try:
         script = _load_json(args.script)
@@ -159,6 +166,8 @@ def cmd_run(args) -> int:
                 initial = QState(basis, np.zeros(len(basis), dtype=np.complex128))
             steps = _steps_from_json(script.get("steps", []))
             templates = None
+        if args.expect:
+            templates = _templates_from_json(_load_json(args.expect))
     except (RegistryError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -170,19 +179,7 @@ def cmd_run(args) -> int:
         return EXIT_STEP
     _write_out(trace.to_csv(), args.out)
 
-    if args.expect:
-        try:
-            expected = [frozenset(row) for row in _load_json(args.expect)]
-        except RegistryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        problems = check_templates(trace, expected, tol=args.tol)
-        if problems:
-            for msg in problems:
-                print(f"mismatch: {msg}", file=sys.stderr)
-            return EXIT_MISMATCH
-        print("templates: PASS", file=sys.stderr)
-    elif templates is not None:
+    if templates is not None:
         problems = check_templates(trace, templates, tol=args.tol)
         if problems:
             for msg in problems:
@@ -208,18 +205,30 @@ def cmd_secular(args) -> int:
         except RegistryError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-    levels = [float(x) for x in params["levels"]]
-    n = len(levels)
-    H = np.diag(np.array(levels, dtype=np.complex128))
-    for row in params["couplings"]:
-        i, j = int(row[0]), int(row[1])
-        v = complex(row[2], row[3] if len(row) > 3 else 0.0)
-        H[i, j] = v
-        H[j, i] = v.conjugate()
+    try:
+        levels = [float(x) for x in params["levels"]]
+        n = len(levels)
+        H = np.diag(np.array(levels, dtype=np.complex128))
+        for row in params["couplings"]:
+            i, j = int(row[0]), int(row[1])
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"coupling ({i},{j}) outside {n} levels")
+            v = complex(row[2], row[3] if len(row) > 3 else 0.0)
+            H[i, j] = v
+            H[j, i] = v.conjugate()
+        if args.anchor_index:
+            k = args.anchor_index[0]
+            if not 0 <= k < n:
+                raise ValueError(f"anchor index {k} outside {n} levels")
+            anchor = levels[k]
+        else:
+            anchor = float(params["anchor"])
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if np.max(np.abs(H - H.conj().T)) > 1e-12 * max(np.linalg.norm(H), 1.0):
         print("error: secular matrix is not Hermitian", file=sys.stderr)
         return EXIT_INPUT
-    anchor = float(params["anchor"]) if not args.anchor_index else levels[args.anchor_index[0]]
     sol = solve_secular(H, anchor)
     mags = np.abs(sol.root_vector)
 

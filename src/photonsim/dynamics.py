@@ -2,8 +2,9 @@
 secular model and the double-slit superposition demo.
 
 The diagonal carries the photonic energy level of each element; off-diagonal
-entries are externally driven couplings.  Eigendecompositions go through the
-cyclic Jacobi kernel in ``_kernels``.
+entries are externally driven couplings.  Eigendecompositions are one LAPACK
+call (``np.linalg.eigh``); ``propagate`` runs it only on the drive-coupled
+elements and gives every other element its exact phase exp(-i E_k dt).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import jacobi_eigh
 from .basis import Basis, element_level
 from .labels import CouplingModel
 from .qstate import QState
@@ -79,7 +79,7 @@ def build_hamiltonian(b: Basis, cm: CouplingModel) -> Hamiltonian:
     for i, e in enumerate(b):
         m[i, i] = element_level(e)
     for i, j in cm.drive_pairs:
-        if i >= n or j >= n:
+        if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"drive coupling ({i},{j}) outside basis of size {n}")
         m[i, j] = cm.drive(i, j)
         m[j, i] = cm.drive(j, i)
@@ -87,29 +87,33 @@ def build_hamiltonian(b: Basis, cm: CouplingModel) -> Hamiltonian:
 
 
 def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi eigendecomposition sorted ascending (ties by original index),
-    with each eigenvector's largest-magnitude component made real positive."""
-    w, v = jacobi_eigh(matrix)
-    order = np.lexsort((np.arange(len(w)), w))
-    w = w[order]
-    v = v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        pivot = int(np.argmax(np.abs(col)))
-        phase = col[pivot] / abs(col[pivot])
-        v[:, k] = col / phase
-    return w, v
+    """LAPACK eigendecomposition sorted ascending (ties by the index of each
+    eigenvector's largest-magnitude component), with that component made real
+    positive."""
+    w, v = np.linalg.eigh(matrix)
+    pivots = np.argmax(np.abs(v), axis=0)
+    order = np.lexsort((pivots, w))
+    w, v, pivots = w[order], v[:, order], pivots[order]
+    p = v[pivots, np.arange(len(w))]
+    return w, v * (p.conj() / np.abs(p))
 
 
 def propagate(s: QState, H: Hamiltonian, dt: float) -> QState:
-    """Apply exp(-i H dt) via eigendecomposition; norm-preserving."""
+    """Apply exp(-i H dt); norm-preserving.  Elements without an off-diagonal
+    entry take their exact phase, the rest are eigendecomposed together."""
     if H.basis != s.basis:
         raise ValueError("Hamiltonian and state are over different bases")
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
-    w, v = _eigh(H.matrix)
-    phases = np.exp(-1j * w * dt)
-    amps = v @ (phases * (v.conj().T @ s.amps))
+    m = H.matrix
+    levels = np.diag(m).real
+    offdiag = m != 0
+    np.fill_diagonal(offdiag, False)
+    coupled = np.flatnonzero(offdiag.any(axis=0) | offdiag.any(axis=1))
+    amps = s.amps * np.exp(-1j * levels * dt)
+    if coupled.size:
+        w, v = _eigh(m[np.ix_(coupled, coupled)])
+        amps[coupled] = v @ (np.exp(-1j * w * dt) * (v.conj().T @ s.amps[coupled]))
     return QState(s.basis, amps, s.time_tag + dt)
 
 

@@ -151,13 +151,14 @@ class Trace:
 
     def to_csv(self) -> str:
         """Deterministic trace listing: amplitude rows, emission rows and a
-        momentum row per entry.  Numbers carry 12 significant digits."""
-        g = lambda x: f"{x:.12g}"
+        momentum row per entry.  Numbers carry 12 significant digits; adding
+        0.0 turns a negative zero into 0."""
+        g = lambda x: f"{x + 0.0:.12g}"
         lines = ["row,step_no,time_tag,basis_index,re,im,mode,Rx,Ry,Rz,px,py,pz"]
         seen_emissions = 0
         for e in self.entries:
             t = g(e.state.time_tag)
-            for i, a in enumerate(e.state.amps):
+            for i, a in enumerate(e.state.amps.tolist()):
                 lines.append(f"amp,{e.step_no},{t},{i},{g(a.real)},{g(a.imag)},,,,,,,")
             for rec in e.emissions[seen_emissions:]:
                 lines.append(

@@ -146,6 +146,27 @@ class TestSecularCommand:
         assert "root: eigenvalue 5.00199920064" in capsys.readouterr().out
 
 
+def _secular_coupling_outside(tmp_path):
+    return ["secular", write(tmp_path, "p.json", {"couplings": [[0, 9, 0.2]]})]
+
+
+def _expect_not_a_list(tmp_path):
+    return ["run", write(tmp_path, "s.json", {"scenario": "lambda"}),
+            "--expect", write(tmp_path, "e.json", 5), "--out", str(tmp_path / "t.csv")]
+
+
+@pytest.mark.parametrize("argv", [
+    _secular_coupling_outside,
+    lambda tmp_path: ["secular", "--anchor-index", "7"],
+    lambda tmp_path: ["secular", "--anchor-index", "-1"],
+    _expect_not_a_list,
+], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative", "expect-not-a-list"])
+def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestSpinCommand:
     def test_report(self, capsys):
         assert main(["spin"]) == 0

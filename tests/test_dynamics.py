@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from photonsim._kernels import _jacobi_numpy, jacobi_eigh
 from photonsim.basis import SINGLE_PARTITE, Basis, BasisElement, enumerate_basis
 from photonsim.dynamics import (
     Hamiltonian,
+    _eigh,
     build_hamiltonian,
     double_slit_pattern,
     fringe_half_width,
@@ -41,32 +41,33 @@ def two_level():
     return Basis(elements)
 
 
-class TestJacobiKernel:
+class TestEigh:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     def test_reconstruction(self, n):
         H = random_hermitian(n, np.random.default_rng(n))
-        w, v = jacobi_eigh(H)
+        w, v = _eigh(H)
         assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - H) < 1e-12 * max(np.linalg.norm(H), 1)
         assert np.linalg.norm(v.conj().T @ v - np.eye(n)) < 1e-12
 
-    def test_fallback_matches_compiled(self):
+    def test_ascending_ties_by_index(self):
+        w, v = _eigh(np.diag([2.0, 1.0, 1.0, 0.5, 2.0, 1.0]).astype(complex))
+        assert list(w) == [0.5, 1.0, 1.0, 1.0, 2.0, 2.0]
+        assert np.array_equal(v, np.eye(6)[:, [3, 1, 2, 5, 0, 4]])
+
+    def test_phase_rule(self):
         H = random_hermitian(6, np.random.default_rng(0))
-        w1, v1 = jacobi_eigh(H)
-        w2, v2 = _jacobi_numpy(H, 1e-12, 100)
-        assert np.sort(w1) == pytest.approx(np.sort(w2), abs=1e-12)
-        assert np.linalg.norm(v2 @ np.diag(w2) @ v2.conj().T - H) < 1e-12
+        _, v = _eigh(H)
+        for k in range(6):
+            pivot = np.argmax(np.abs(v[:, k]))
+            assert abs(v[pivot, k].imag) < 1e-15 and v[pivot, k].real > 0.0
 
     def test_one_by_one(self):
-        w, v = jacobi_eigh(np.array([[3.5 + 0j]]))
+        w, v = _eigh(np.array([[3.5 + 0j]]))
         assert w[0] == 3.5 and v[0, 0] == 1.0
-
-    def test_diagonal_input(self):
-        w, _ = jacobi_eigh(np.diag([2.0, -1.0, 0.5]).astype(complex))
-        assert set(np.round(w, 12)) == {2.0, -1.0, 0.5}
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            jacobi_eigh(np.zeros((2, 3)))
+            _eigh(np.zeros((2, 3)))
 
 
 class TestHamiltonian:
@@ -89,9 +90,10 @@ class TestHamiltonian:
         assert H.matrix[0, 1] == 0.2 and H.matrix[1, 0] == 0.2
 
     def test_drive_outside_basis_rejected(self, two_level):
-        cm = CouplingModel(mode_couplings={(0, 5): 0.2})
-        with pytest.raises(ValueError, match="outside basis"):
-            build_hamiltonian(two_level, cm)
+        for pair in [(0, 5), (-1, 0), (0, -2)]:
+            cm = CouplingModel(mode_couplings={pair: 0.2})
+            with pytest.raises(ValueError, match="outside basis"):
+                build_hamiltonian(two_level, cm)
 
     def test_registry_fourfold_levels(self):
         reg = Registry.from_dict({
@@ -146,6 +148,19 @@ class TestPropagate:
         dt = rng.uniform(0.1, 3.0)
         out = propagate(QState(two_level, amps), H, dt)
         expect = taylor_expm(-1j * m * dt) @ amps
+        assert np.allclose(out.amps, expect, atol=1e-10)
+
+    def test_coupled_block_matches_taylor_series(self):
+        levels = np.arange(16) * 0.37 + 0.1
+        basis = Basis([BasisElement(SINGLE_PARTITE, (ENLabel(k, 0, e),))
+                       for k, e in enumerate(levels)])
+        cm = CouplingModel(mode_couplings={(2, 9): 0.3 + 0.1j, (9, 13): 0.25})
+        H = build_hamiltonian(basis, cm)
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        amps /= np.linalg.norm(amps)
+        out = propagate(QState(basis, amps), H, 2.3)
+        expect = taylor_expm(-1j * H.matrix * 2.3) @ amps
         assert np.allclose(out.amps, expect, atol=1e-10)
 
     def test_unitarity_over_many_steps(self, two_level):

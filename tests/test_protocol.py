@@ -9,6 +9,8 @@ from photonsim.protocol import (
     ProtocolError,
     ProtocolStep,
     ProtocolStepError,
+    Trace,
+    TraceEntry,
     check_templates,
     run,
 )
@@ -73,6 +75,12 @@ class TestRunBasics:
         scn = lambda_scenario()
         with pytest.raises(ProtocolError):
             run(scn.initial, scn.steps, mode="quantum")
+
+    def test_negative_drive_index_fails_step(self):
+        scn = lambda_scenario()
+        with pytest.raises(ProtocolStepError, match="outside basis") as exc:
+            run(scn.initial, [ProtocolStep.laser_on("w10", [(-1, 0, 0.2)], 1.0)])
+        assert exc.value.step_no == 1
 
     def test_lifetime_wait_outside_stochastic_fails(self):
         scn = lambda_scenario()
@@ -209,6 +217,16 @@ class TestDeterminism:
         a = run(scn.initial, steps, seed=1, mode="stochastic")
         b = run(scn.initial, steps, seed=2, mode="stochastic")
         assert a.final.state.time_tag != b.final.state.time_tag
+
+    def test_csv_lists_negative_zero_as_zero(self):
+        basis = lambda_scenario().initial.basis
+        amps = np.full(len(basis), complex(-0.0, -0.0))
+        amps[0] = 1.0
+        trace = Trace([TraceEntry(0, "initial", QState(basis, amps, -0.0), (), (-0.0, 0.0, -0.0))])
+        rows = [line.split(",") for line in trace.to_csv().splitlines()[1:]]
+        assert rows[1][4:6] == ["0", "0"]
+        assert rows[-1][2] == "0" and rows[-1][10:] == ["0", "0", "0"]
+        assert all(field != "-0" for row in rows for field in row)
 
     def test_csv_has_emission_and_momentum_rows(self):
         trace = run_scenario(lambda_scenario())
