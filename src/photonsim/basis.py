@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
+import numpy as np
+
 from .labels import ENLabel, FockLabel, ModeLabel, PartitionScheme, Registry
 
 __all__ = [
@@ -128,6 +130,7 @@ class Basis:
         self._elements: tuple[BasisElement, ...] = tuple(elems)
         self._index: dict[BasisElement, int] = {e: i for i, e in enumerate(self._elements)}
         self.metadata: dict = dict(metadata or {})
+        self._levels: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -157,8 +160,14 @@ class Basis:
         except KeyError:
             raise KeyError("element not in basis") from None
 
-    def levels(self) -> list[float]:
-        return [element_level(e) for e in self._elements]
+    def levels(self) -> np.ndarray:
+        """Photonic level of each element in index order.  Computed on first
+        use and kept, so the array is shared and read-only."""
+        if self._levels is None:
+            levels = np.array([element_level(e) for e in self._elements], dtype=np.float64)
+            levels.flags.writeable = False
+            self._levels = levels
+        return self._levels
 
     def to_jsonable(self) -> list:
         rows = []

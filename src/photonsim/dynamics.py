@@ -5,6 +5,9 @@ The diagonal carries the photonic energy level of each element; off-diagonal
 entries are externally driven couplings.  Eigendecompositions are one LAPACK
 call (``np.linalg.eigh``); ``propagate`` runs it only on the drive-coupled
 elements and gives every other element its exact phase exp(-i E_k dt).
+Given a ``CouplingModel`` instead of a dense ``Hamiltonian``, ``propagate``
+builds that coupled block straight from the drive terms and the basis levels,
+so a step costs O(n + k^3) for k coupled elements and no n x n matrix exists.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, element_level
+from .basis import Basis
 from .labels import CouplingModel
 from .qstate import QState
 
@@ -71,16 +74,24 @@ class SecularSolution:
         return self.eigenvectors[:, self.root_index]
 
 
-def build_hamiltonian(b: Basis, cm: CouplingModel) -> Hamiltonian:
-    """Diagonal from photonic levels, off-diagonal from drive couplings."""
+def _drive_pairs(cm: CouplingModel, n: int) -> list[tuple[int, int]]:
+    """The model's drive pairs (i < j), checked Hermitian and inside a basis
+    of size n."""
     cm.check_hermitian()
-    n = len(b)
-    m = np.zeros((n, n), dtype=np.complex128)
-    for i, e in enumerate(b):
-        m[i, i] = element_level(e)
-    for i, j in cm.drive_pairs:
+    pairs = cm.drive_pairs
+    for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"drive coupling ({i},{j}) outside basis of size {n}")
+    return pairs
+
+
+def build_hamiltonian(b: Basis, cm: CouplingModel) -> Hamiltonian:
+    """Diagonal from photonic levels, off-diagonal from drive couplings."""
+    n = len(b)
+    pairs = _drive_pairs(cm, n)
+    m = np.zeros((n, n), dtype=np.complex128)
+    np.fill_diagonal(m, b.levels())
+    for i, j in pairs:
         m[i, j] = cm.drive(i, j)
         m[j, i] = cm.drive(j, i)
     return Hamiltonian(b, m)
@@ -98,21 +109,45 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v * (p.conj() / np.abs(p))
 
 
-def propagate(s: QState, H: Hamiltonian, dt: float) -> QState:
+def _drive_block(levels: np.ndarray, cm: CouplingModel) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted indices with a nonzero drive term, and the Hamiltonian restricted
+    to them: their levels on the diagonal, the drive terms off it."""
+    terms = [(i, j, v) for i, j in _drive_pairs(cm, len(levels)) if (v := cm.drive(i, j)) != 0]
+    coupled = np.array(sorted({k for i, j, _ in terms for k in (i, j)}), dtype=np.intp)
+    at = {g: k for k, g in enumerate(coupled.tolist())}
+    block = np.diag(levels[coupled].astype(np.complex128))
+    for i, j, v in terms:
+        block[at[i], at[j]] = v
+        block[at[j], at[i]] = v.conjugate()
+    return coupled, block
+
+
+def propagate(s: QState, H: Hamiltonian | CouplingModel, dt: float) -> QState:
     """Apply exp(-i H dt); norm-preserving.  Elements without an off-diagonal
-    entry take their exact phase, the rest are eigendecomposed together."""
-    if H.basis != s.basis:
-        raise ValueError("Hamiltonian and state are over different bases")
+    entry take their exact phase, the rest are eigendecomposed together.
+
+    A dense ``Hamiltonian`` must be over the state's basis; its coupled
+    elements are found by scanning the off-diagonal.  A ``CouplingModel``
+    stands for diag(basis levels) plus its drive terms: its drive indices are
+    checked against the basis and only the coupled block is ever built.
+    """
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
-    m = H.matrix
-    levels = np.diag(m).real
-    offdiag = m != 0
-    np.fill_diagonal(offdiag, False)
-    coupled = np.flatnonzero(offdiag.any(axis=0) | offdiag.any(axis=1))
+    if isinstance(H, CouplingModel):
+        levels = s.basis.levels()
+        coupled, block = _drive_block(levels, H)
+    else:
+        if H.basis != s.basis:
+            raise ValueError("Hamiltonian and state are over different bases")
+        m = H.matrix
+        levels = np.diag(m).real
+        offdiag = m != 0
+        np.fill_diagonal(offdiag, False)
+        coupled = np.flatnonzero(offdiag.any(axis=0) | offdiag.any(axis=1))
+        block = m[np.ix_(coupled, coupled)]
     amps = s.amps * np.exp(-1j * levels * dt)
     if coupled.size:
-        w, v = _eigh(m[np.ix_(coupled, coupled)])
+        w, v = _eigh(block)
         amps[coupled] = v @ (np.exp(-1j * w * dt) * (v.conj().T @ s.amps[coupled]))
     return QState(s.basis, amps, s.time_tag + dt)
 

@@ -8,13 +8,14 @@ deterministic (advance the clock by the scripted duration) and stochastic
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .basis import Basis
-from .dynamics import Hamiltonian, build_hamiltonian, propagate
+from .dynamics import propagate
 from .labels import CouplingModel
 from .qstate import (
     DEFAULT_SUPPORT_TOL,
@@ -74,11 +75,17 @@ class ProtocolStep:
     @classmethod
     def laser_on(cls, mode_id: str, couplings: Sequence[tuple[int, int, complex]],
                  duration: float, absorb_modes: Sequence[str] = (), annotation: str = ""):
+        if not math.isfinite(duration):
+            raise ProtocolError("duration must be finite")
         if duration < 0:
             raise ProtocolError("duration must be non-negative")
+        couplings = [(int(i), int(j), complex(v)) for i, j, v in couplings]
+        for i, j, v in couplings:
+            if not cmath.isfinite(v):
+                raise ProtocolError(f"coupling ({i},{j}) must be finite")
         return cls("laser_on", {
             "mode": mode_id,
-            "couplings": [(int(i), int(j), complex(v)) for i, j, v in couplings],
+            "couplings": couplings,
             "duration": float(duration),
             "absorb": list(absorb_modes),
         }, annotation)
@@ -87,8 +94,12 @@ class ProtocolStep:
     def wait(cls, duration: float | None = None, rate: float | None = None, annotation: str = ""):
         if duration is None and rate is None:
             raise ProtocolError("wait needs a duration or a lifetime rate")
+        if duration is not None and not math.isfinite(duration):
+            raise ProtocolError("duration must be finite")
         if duration is not None and duration < 0:
             raise ProtocolError("duration must be non-negative")
+        if rate is not None and not math.isfinite(rate):
+            raise ProtocolError("lifetime rate must be finite")
         if rate is not None and rate <= 0:
             raise ProtocolError("lifetime rate must be positive")
         return cls("wait", {"duration": duration, "rate": rate}, annotation)
@@ -178,7 +189,8 @@ def _swap(state: QState, i: int, j: int) -> QState:
     return QState(state.basis, amps, state.time_tag)
 
 
-def _laser_hamiltonian(basis: Basis, couplings, models: CouplingModel | None) -> Hamiltonian:
+def _laser_couplings(couplings, models: CouplingModel | None) -> CouplingModel:
+    """The step's own couplings, or else the drive terms of the run's models."""
     cm = CouplingModel()
     if couplings:
         for i, j, v in couplings:
@@ -186,7 +198,7 @@ def _laser_hamiltonian(basis: Basis, couplings, models: CouplingModel | None) ->
     elif models is not None:
         for i, j in models.drive_pairs:
             cm.set_drive(i, j, models.drive(i, j))
-    return build_hamiltonian(basis, cm)
+    return cm
 
 
 def run(
@@ -231,8 +243,8 @@ def run(
                 for mid in p["absorb"]:
                     ledger += np.array(_mode(mid).momentum)
             elif step.kind == "laser_on":
-                H = _laser_hamiltonian(basis, p["couplings"], models)
-                state = propagate(state, H, p["duration"])
+                cm = _laser_couplings(p["couplings"], models)
+                state = propagate(state, cm, p["duration"])
                 for mid in p["absorb"]:
                     ledger += np.array(_mode(mid).momentum)
             elif step.kind == "wait":

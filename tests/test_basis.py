@@ -169,6 +169,13 @@ class TestCanonicalOrder:
         args = (pair_registry, [SINGLE_PARTITE], [pair_registry.mode("w")], 1)
         assert enumerate_basis(*args).to_json() == enumerate_basis(*args).to_json()
 
+    def test_levels_computed_once_and_read_only(self, pair_registry):
+        b = enumerate_basis(pair_registry, [SINGLE_PARTITE], [pair_registry.mode("w")], 1)
+        levels = b.levels()
+        assert b.levels() is levels
+        assert not levels.flags.writeable
+        assert levels.tolist() == [element_level(e) for e in b]
+
     def test_constituent_conservation(self):
         p1 = PartitionScheme("one", ((1,),))
         p2 = PartitionScheme("two", ((1,), (2,)))

@@ -155,12 +155,30 @@ def _expect_not_a_list(tmp_path):
             "--expect", write(tmp_path, "e.json", 5), "--out", str(tmp_path / "t.csv")]
 
 
+def _one_step_script(kind, params):
+    def argv(tmp_path):
+        return ["run", write(tmp_path, "s.json", {
+            "basis_config": BASIS_CONFIG,
+            "initial": {"element": 0},
+            "steps": [{"kind": kind, "params": params}],
+        })]
+    return argv
+
+
 @pytest.mark.parametrize("argv", [
     _secular_coupling_outside,
     lambda tmp_path: ["secular", "--anchor-index", "7"],
     lambda tmp_path: ["secular", "--anchor-index", "-1"],
     _expect_not_a_list,
-], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative", "expect-not-a-list"])
+    _one_step_script("wait", {"duration": float("inf")}),
+    _one_step_script("wait", {"duration": float("nan")}),
+    _one_step_script("laser_on", {"mode": "w", "couplings": [[0, 1, 0.2]],
+                                  "duration": float("nan")}),
+    _one_step_script("laser_on", {"mode": "w", "couplings": [[0, 1, float("nan")]],
+                                  "duration": 1.0}),
+], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative",
+        "expect-not-a-list", "wait-inf", "wait-nan", "laser-duration-nan",
+        "laser-coupling-nan"])
 def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err.splitlines()

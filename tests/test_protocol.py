@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from photonsim.basis import SINGLE_PARTITE, Basis, BasisElement
-from photonsim.labels import ENLabel, Registry
+from photonsim.basis import SINGLE_PARTITE, Basis, BasisElement, enumerate_basis
+from photonsim.dynamics import build_hamiltonian, propagate
+from photonsim.labels import CouplingModel, ENLabel, PartitionScheme, Registry
 from photonsim.protocol import (
     ProtocolError,
     ProtocolStep,
@@ -43,6 +45,11 @@ class TestSteps:
     def test_wait_rate_must_be_positive(self):
         with pytest.raises(ProtocolError):
             ProtocolStep.wait(rate=0.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_wait_rate_must_be_finite(self, rate):
+        with pytest.raises(ProtocolError, match="finite"):
+            ProtocolStep.wait(rate=rate)
 
 
 class TestRunBasics:
@@ -86,6 +93,53 @@ class TestRunBasics:
         scn = lambda_scenario()
         with pytest.raises(ProtocolStepError, match="stochastic"):
             run(scn.initial, [ProtocolStep.wait(rate=2.0)])
+
+
+class TestLaserOnStep:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_hamiltonian_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        reg = Registry.from_dict({
+            "levels": [{"j": j, "k": 0, "energy": e}
+                       for j, e in enumerate(rng.uniform(0.0, 3.0, size=3))],
+            "modes": [{"id": "w", "omega": float(rng.uniform(0.5, 1.5))}],
+        })
+        basis = enumerate_basis(reg, [SINGLE_PARTITE], [reg.mode("w")], n_max=2)
+        n = len(basis)
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        initial = QState(basis, amps / np.linalg.norm(amps))
+        pool = rng.choice(n, size=4, replace=False)
+        pairs = [rng.choice(pool, size=2, replace=False) for _ in range(rng.integers(1, 4))]
+        couplings = [(int(i), int(j), complex(*rng.normal(scale=0.3, size=2)))
+                     for i, j in pairs]
+        cm = CouplingModel()
+        for i, j, v in couplings:
+            cm.set_drive(i, j, v)
+        dt = float(rng.uniform(0.5, 3.0))
+        trace = run(initial, [ProtocolStep.laser_on("w", couplings, dt)])
+        dense = propagate(initial, build_hamiltonian(basis, cm), dt)
+        assert len(support(initial)) == n
+        assert np.array_equal(trace.final.state.amps, dense.amps)
+        assert trace.final.state.time_tag == dense.time_tag
+
+    def test_large_basis_step_builds_no_dense_matrix(self):
+        reg = Registry.from_dict({
+            "levels": [{"j": j, "k": 0, "energy": 0.7 * j} for j in range(4)],
+            "modes": [{"id": m, "omega": 0.5 + 0.3 * k} for k, m in enumerate("abc")],
+        })
+        parts = [PartitionScheme("P1", ((1, 2),)), PartitionScheme("P2", ((1,), (2,)))]
+        basis = enumerate_basis(reg, parts, [reg.mode(m) for m in "abc"], n_max=2)
+        assert len(basis) == 4320  # a dense complex H would be 298 MB
+        initial = window_state(basis, basis.element_at(0))
+        step = ProtocolStep.laser_on("a", [(0, 1, 0.3), (1, 2, 0.2)], 1.0)
+        tracemalloc.start()
+        try:
+            trace = run(initial, [step])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        assert trace.final.state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLambdaSequence:

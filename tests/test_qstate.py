@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from photonsim.basis import ENTANGLED, PRODUCT, SINGLE_PARTITE, Basis, BasisElement
-from photonsim.labels import ENLabel, FockLabel, ModeLabel
+from photonsim.basis import (
+    ENTANGLED,
+    PRODUCT,
+    SINGLE_PARTITE,
+    Basis,
+    BasisElement,
+    enumerate_basis,
+)
+from photonsim.labels import ENLabel, FockLabel, ModeLabel, Registry
 from photonsim.qstate import QState, decohere, erase, support, window_state
 from photonsim.scenarios import halted_light_scenario, lambda_scenario
 
@@ -166,6 +173,17 @@ class TestDecohere:
         gap = (element_level(lam.named_elements["emit_root"])
                - element_level(lam.named_elements["emit_target"]))
         assert rec.mode.omega == pytest.approx(gap, abs=1e-9)
+
+    @pytest.mark.parametrize("emit, target", [(-3, -1), (5, 8)])
+    def test_index_outside_basis_rejected(self, emit, target):
+        reg = Registry.from_dict({
+            "levels": [{"j": 0, "k": 0, "energy": 0.0}, {"j": 1, "k": 0, "energy": 1.0}],
+            "modes": [{"id": "w", "omega": 1.0}],
+        })
+        b = enumerate_basis(reg, [SINGLE_PARTITE], [reg.mode("w")], n_max=1)
+        s = window_state(b, b.element_at(5))
+        with pytest.raises(IndexError, match="basis of size 8"):
+            decohere(s, emit, target)
 
     def test_not_in_support_rejected(self, lam):
         s = window_state(lam.basis, lam.named_elements["root_in"])
