@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -152,6 +152,9 @@ class Basis:
         return self._elements
 
     def element_at(self, i: int) -> BasisElement:
+        """The element at index i; a negative index is an error, never a wrap."""
+        if not 0 <= i < len(self._elements):
+            raise IndexError(f"index {i} outside basis of size {len(self._elements)}")
         return self._elements[i]
 
     def index(self, e: BasisElement) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 
@@ -16,9 +17,9 @@ import numpy as np
 
 from . import scenarios
 from .basis import Basis, enumerate_basis
-from .dynamics import double_slit_pattern, perturbative_amplitudes, solve_secular, visibility
-from .labels import CouplingModel, ModeLabel, PartitionScheme, Registry, RegistryError
-from .protocol import ProtocolStep, ProtocolStepError, check_templates, run
+from .dynamics import double_slit_pattern, solve_secular, visibility
+from .labels import CouplingModel, PartitionScheme, Registry, RegistryError
+from .protocol import ProtocolError, ProtocolStep, ProtocolStepError, check_templates, run
 from .qstate import QState, window_state
 from .spin import permute_labels, s_squared_matrix, singlet, spin_expectation, triplet
 
@@ -60,8 +61,14 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise RegistryError(f"{what} must be an object")
+    return value
+
+
 def _basis_from_config(cfg: dict) -> tuple[Registry, Basis]:
-    registry = Registry.from_dict(cfg)
+    registry = Registry.from_dict(_object(cfg, "config"))
     partitions = []
     for idx, row in enumerate(cfg.get("partitions", [])):
         try:
@@ -96,38 +103,6 @@ _SCENARIOS = {
 }
 
 
-def _steps_from_json(rows) -> list[ProtocolStep]:
-    steps = []
-    for idx, row in enumerate(rows):
-        kind = row.get("kind")
-        p = row.get("params", {})
-        try:
-            if kind == "prepare":
-                steps.append(ProtocolStep.prepare(p["element"], p.get("absorb", [])))
-            elif kind == "laser_on":
-                couplings = [(c[0], c[1], complex(c[2], c[3] if len(c) > 3 else 0.0))
-                             for c in p["couplings"]]
-                steps.append(ProtocolStep.laser_on(p["mode"], couplings, p["duration"],
-                                                   p.get("absorb", [])))
-            elif kind == "wait":
-                steps.append(ProtocolStep.wait(p.get("duration"), p.get("rate")))
-            elif kind == "induce":
-                steps.append(ProtocolStep.induce([tuple(q) for q in p["pairs"]]))
-            elif kind == "erase":
-                steps.append(ProtocolStep.erase(p["indices"], p.get("renormalize", False)))
-            elif kind == "decohere":
-                steps.append(ProtocolStep.decohere(p["emit"], p["target"],
-                                                   tuple(p.get("R", (0.0, 0.0, 0.0))),
-                                                   p.get("renormalize", False)))
-            else:
-                raise RegistryError(f"steps[{idx}]: unknown kind {kind!r}")
-        except RegistryError:
-            raise
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise RegistryError(f"steps[{idx}] ({kind}): {exc}") from None
-    return steps
-
-
 def _templates_from_json(rows) -> list[frozenset[int]]:
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and all(type(i) is int for i in row) for row in rows)):
@@ -137,12 +112,9 @@ def _templates_from_json(rows) -> list[frozenset[int]]:
 
 def cmd_run(args) -> int:
     try:
-        script = _load_json(args.script)
+        script = _object(_load_json(args.script), "script")
         mode = args.mode or script.get("mode", "deterministic")
         seed = args.seed if args.seed is not None else script.get("seed")
-        if mode == "stochastic" and seed is None:
-            print("error: stochastic mode requires --seed", file=sys.stderr)
-            return EXIT_INPUT
         if "scenario" in script:
             name = script["scenario"]
             if name not in _SCENARIOS:
@@ -152,31 +124,35 @@ def cmd_run(args) -> int:
             templates = scn.templates
             models = None
         else:
-            cfg = script["basis_config"]
-            _, basis = _basis_from_config(cfg)
+            _, basis = _basis_from_config(script["basis_config"])
             models = CouplingModel()
-            for row in script.get("models", {}).get("couplings", []):
+            for row in _object(script.get("models", {}), "models").get("couplings", []):
                 v = row["value"]
-                models.set_drive(int(row["i"]), int(row["j"]),
-                                 complex(v[0], v[1]) if isinstance(v, list) else complex(v))
-            init = script.get("initial", {})
+                re, im = v if isinstance(v, list) else (v, 0.0)
+                models.set_drive(operator.index(row["i"]), operator.index(row["j"]), complex(re, im))
+            init = _object(script.get("initial", {}), "initial")
             if "element" in init:
-                initial = window_state(basis, basis.element_at(int(init["element"])))
+                initial = window_state(basis, basis.element_at(operator.index(init["element"])))
             else:
                 initial = QState(basis, np.zeros(len(basis), dtype=np.complex128))
-            steps = _steps_from_json(script.get("steps", []))
+            steps = []
+            for idx, row in enumerate(script.get("steps", [])):
+                try:
+                    steps.append(ProtocolStep.from_dict(row))
+                except ProtocolError as exc:
+                    raise ProtocolError(f"steps[{idx}]: {exc}") from None
             templates = None
         if args.expect:
             templates = _templates_from_json(_load_json(args.expect))
-    except (RegistryError, KeyError, TypeError, ValueError) as exc:
+    except (RegistryError, KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     try:
         trace = run(initial, steps, models=models, seed=seed, mode=mode)
-    except ProtocolStepError as exc:
+    except ProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STEP
+        return EXIT_STEP if isinstance(exc, ProtocolStepError) else EXIT_INPUT
     _write_out(trace.to_csv(), args.out)
 
     if templates is not None:
@@ -223,13 +199,10 @@ def cmd_secular(args) -> int:
             anchor = levels[k]
         else:
             anchor = float(params["anchor"])
+        sol = solve_secular(H, anchor)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if np.max(np.abs(H - H.conj().T)) > 1e-12 * max(np.linalg.norm(H), 1.0):
-        print("error: secular matrix is not Hermitian", file=sys.stderr)
-        return EXIT_INPUT
-    sol = solve_secular(H, anchor)
     mags = np.abs(sol.root_vector)
 
     lines = ["eigenvalues: " + " ".join(_G(x) for x in sol.eigenvalues)]

@@ -1,6 +1,10 @@
 """Protocol engine: ordered experimental steps applied to an amplitude vector,
 with emission records, a running photon-momentum ledger and trace snapshots.
 
+The ``ProtocolStep`` class-method constructors are the one schema of a step:
+they name its parameters, give their defaults and validate them.  Scripts
+reach them through ``ProtocolStep.from_dict``.
+
 Lifetimes have no law in the underlying scheme, so Wait supports two modes:
 deterministic (advance the clock by the scripted duration) and stochastic
 (sample an exponential lifetime from the seeded generator).
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -54,11 +59,15 @@ class ProtocolStepError(ProtocolError):
 
 _KINDS = ("prepare", "laser_on", "wait", "induce", "erase", "decohere")
 
+# Script ``params`` keys that differ from the constructor argument names.
+_SCRIPT_KEYS = {"element": "element_index", "mode": "mode_id", "absorb": "absorb_modes",
+                "emit": "emit_index", "target": "target_index"}
+
 
 @dataclass(frozen=True)
 class ProtocolStep:
-    """One experimental action.  Use the class-method constructors; ``params``
-    keys depend on the kind."""
+    """One experimental action.  Build it with the class-method constructor of
+    its kind, which defines and validates its ``params``, or with ``from_dict``."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -69,23 +78,48 @@ class ProtocolStep:
             raise ProtocolError(f"unknown step kind {self.kind!r}")
 
     @classmethod
+    def from_dict(cls, row: dict) -> "ProtocolStep":
+        """Build a step from its script form ``{"kind": ..., "params": {...}}``.
+        The constructors are the schema: ``params`` are passed to the one of
+        that kind, renamed by ``_SCRIPT_KEYS``.  A malformed row raises
+        ``ProtocolError``."""
+        if not isinstance(row, dict):
+            raise ProtocolError("a step must be an object")
+        kind = row.get("kind")
+        if kind not in _KINDS:
+            raise ProtocolError(f"unknown kind {kind!r}")
+        params = row.get("params", {})
+        if not isinstance(params, dict):
+            raise ProtocolError(f"{kind}: params must be an object")
+        if aliased := sorted(set(params) & set(_SCRIPT_KEYS.values())):
+            raise ProtocolError(f"{kind}: unknown params key {aliased[0]!r}")
+        try:
+            return getattr(cls, kind)(**{_SCRIPT_KEYS.get(k, k): v for k, v in params.items()})
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(f"{kind}: {exc}") from None
+
+    @classmethod
     def prepare(cls, element_index: int, absorb_modes: Sequence[str] = (), annotation: str = ""):
-        return cls("prepare", {"element": int(element_index), "absorb": list(absorb_modes)}, annotation)
+        return cls("prepare", {"element": operator.index(element_index), "absorb": list(absorb_modes)}, annotation)
 
     @classmethod
     def laser_on(cls, mode_id: str, couplings: Sequence[tuple[int, int, complex]],
                  duration: float, absorb_modes: Sequence[str] = (), annotation: str = ""):
+        """Coupling rows are ``(i, j, value)``, or ``(i, j, re[, im])`` as in scripts."""
         if not math.isfinite(duration):
             raise ProtocolError("duration must be finite")
         if duration < 0:
             raise ProtocolError("duration must be non-negative")
-        couplings = [(int(i), int(j), complex(v)) for i, j, v in couplings]
-        for i, j, v in couplings:
+        rows = [(operator.index(i), operator.index(j), complex(v, *im))
+                for i, j, v, *im in couplings]
+        for i, j, v in rows:
+            if i == j:
+                raise ProtocolError(f"coupling ({i},{j}) must be off-diagonal")
             if not cmath.isfinite(v):
                 raise ProtocolError(f"coupling ({i},{j}) must be finite")
         return cls("laser_on", {
             "mode": mode_id,
-            "couplings": couplings,
+            "couplings": rows,
             "duration": float(duration),
             "absorb": list(absorb_modes),
         }, annotation)
@@ -106,20 +140,24 @@ class ProtocolStep:
 
     @classmethod
     def induce(cls, pairs: Sequence[tuple[int, int]], annotation: str = ""):
-        return cls("induce", {"pairs": [(int(i), int(j)) for i, j in pairs]}, annotation)
+        return cls("induce", {"pairs": [(operator.index(i), operator.index(j)) for i, j in pairs]},
+                   annotation)
 
     @classmethod
     def erase(cls, indices: Iterable[int], renormalize: bool = False, annotation: str = ""):
-        return cls("erase", {"indices": sorted(int(i) for i in indices),
+        return cls("erase", {"indices": sorted(operator.index(i) for i in indices),
                              "renormalize": bool(renormalize)}, annotation)
 
     @classmethod
     def decohere(cls, emit_index: int, target_index: int,
                  R: tuple[float, float, float] = (0.0, 0.0, 0.0),
                  renormalize: bool = False, annotation: str = ""):
-        return cls("decohere", {"emit": int(emit_index), "target": int(target_index),
-                                "R": tuple(float(r) for r in R),
-                                "renormalize": bool(renormalize)}, annotation)
+        R = tuple(float(r) for r in R)
+        if len(R) != 3 or not all(map(math.isfinite, R)):
+            raise ProtocolError("R must be 3 finite numbers")
+        return cls("decohere", {"emit": operator.index(emit_index),
+                                "target": operator.index(target_index),
+                                "R": R, "renormalize": bool(renormalize)}, annotation)
 
 
 @dataclass(frozen=True)
@@ -189,18 +227,6 @@ def _swap(state: QState, i: int, j: int) -> QState:
     return QState(state.basis, amps, state.time_tag)
 
 
-def _laser_couplings(couplings, models: CouplingModel | None) -> CouplingModel:
-    """The step's own couplings, or else the drive terms of the run's models."""
-    cm = CouplingModel()
-    if couplings:
-        for i, j, v in couplings:
-            cm.set_drive(i, j, v)
-    elif models is not None:
-        for i, j in models.drive_pairs:
-            cm.set_drive(i, j, models.drive(i, j))
-    return cm
-
-
 def run(
     initial: QState,
     steps: Sequence[ProtocolStep],
@@ -217,7 +243,10 @@ def run(
         raise ProtocolError(f"unknown mode {mode!r}")
     if mode == "stochastic" and seed is None:
         raise ProtocolError("stochastic mode requires a seed")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bad seed {seed!r}: {exc}") from None
 
     basis = initial.basis
     n = len(basis)
@@ -237,16 +266,12 @@ def run(
         p = step.params
         try:
             if step.kind == "prepare":
-                if not 0 <= p["element"] < n:
-                    raise ProtocolError(f"element {p['element']} out of range")
                 state = window_state(basis, basis.element_at(p["element"]), state.time_tag)
-                for mid in p["absorb"]:
-                    ledger += np.array(_mode(mid).momentum)
             elif step.kind == "laser_on":
-                cm = _laser_couplings(p["couplings"], models)
+                # A step without couplings of its own takes the drive terms of the run's models.
+                cm = (models if models is not None and not p["couplings"] else
+                      CouplingModel(mode_couplings={(i, j): v for i, j, v in p["couplings"]}))
                 state = propagate(state, cm, p["duration"])
-                for mid in p["absorb"]:
-                    ledger += np.array(_mode(mid).momentum)
             elif step.kind == "wait":
                 if mode == "stochastic" and p["rate"] is not None:
                     dt = float(rng.exponential(1.0 / p["rate"]))
@@ -267,6 +292,8 @@ def run(
                                       renormalize=p["renormalize"])
                 emissions.append(rec)
                 ledger -= np.array(rec.mode.momentum)
+            for mid in p.get("absorb", ()):
+                ledger += np.array(_mode(mid).momentum)
         except (ProtocolError, ValueError, IndexError, KeyError) as exc:
             raise ProtocolStepError(step_no, step.kind, str(exc)) from exc
         entries.append(TraceEntry(step_no, step.kind, state, tuple(emissions),

@@ -153,10 +153,6 @@ def decohere(
     landed on the target element and the residual renormalized, giving the
     post-emission material state.
     """
-    n = len(s.basis)
-    if not (0 <= emit_index < n and 0 <= target_index < n):
-        raise IndexError(f"decohere index ({emit_index},{target_index}) out of range "
-                         f"for basis of size {n}")
     emit_el = s.basis.element_at(emit_index)
     target_el = s.basis.element_at(target_index)
     amp = complex(s.amps[emit_index])

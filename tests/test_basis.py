@@ -150,6 +150,13 @@ class TestCanonicalOrder:
             assert canonical_index(b, e) == i
             assert b.element_at(i) == e
 
+    def test_element_at_never_wraps(self, pair_registry):
+        b = enumerate_basis(pair_registry, [SINGLE_PARTITE],
+                            [pair_registry.mode("w")], n_max=1)
+        for i in (-1, len(b)):
+            with pytest.raises(IndexError, match=f"index {i} outside basis of size {len(b)}"):
+                b.element_at(i)
+
     def test_missing_element_raises(self, pair_registry):
         b = enumerate_basis(pair_registry, [SINGLE_PARTITE], [], n_max=0)
         stranger = BasisElement(SINGLE_PARTITE, (ENLabel(9, 0, 9.0),))

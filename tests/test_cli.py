@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photonsim.cli import main
 
@@ -107,6 +113,24 @@ class TestRunCommand:
         assert main(["run", script]) == 2
         assert "unknown kind" in capsys.readouterr().err
 
+    def test_laser_on_without_couplings_takes_models(self, tmp_path):
+        def csv(couplings, models=True):
+            steps = [{"kind": "laser_on",
+                      "params": {"mode": "w", "couplings": couplings, "duration": t}}
+                     for t in (1.3, 0.7)]
+            steps.insert(1, {"kind": "induce", "params": {"pairs": [[0, 2]]}})
+            script = {"basis_config": BASIS_CONFIG, "initial": {"element": 0}, "steps": steps}
+            if models:
+                script["models"] = {"couplings": [{"i": 0, "j": 4, "value": [0.2, -0.1]},
+                                                  {"i": 2, "j": 6, "value": 0.3}]}
+            out = tmp_path / "t.csv"
+            assert main(["run", write(tmp_path, "s.json", script), "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        fallback = csv([])
+        assert fallback == csv([[0, 4, 0.2, -0.1], [2, 6, 0.3]])
+        assert fallback != csv([], models=False)
+
     def test_seeded_runs_identical(self, tmp_path):
         script = write(tmp_path, "s.json", {
             "scenario": "lambda", "mode": "deterministic"})
@@ -155,14 +179,23 @@ def _expect_not_a_list(tmp_path):
             "--expect", write(tmp_path, "e.json", 5), "--out", str(tmp_path / "t.csv")]
 
 
-def _one_step_script(kind, params):
+def _script(**fields):
     def argv(tmp_path):
         return ["run", write(tmp_path, "s.json", {
-            "basis_config": BASIS_CONFIG,
-            "initial": {"element": 0},
-            "steps": [{"kind": kind, "params": params}],
-        })]
+            "basis_config": BASIS_CONFIG, "initial": {"element": 0}, **fields})]
     return argv
+
+
+def _one_step_script(kind, params):
+    return _script(steps=[{"kind": kind, "params": params}])
+
+
+def _raw_script(payload):
+    return lambda tmp_path: ["run", write(tmp_path, "s.json", payload)]
+
+
+def _decohere_at(R):
+    return _one_step_script("decohere", {"emit": 0, "target": 2, "R": R})
 
 
 @pytest.mark.parametrize("argv", [
@@ -176,13 +209,112 @@ def _one_step_script(kind, params):
                                   "duration": float("nan")}),
     _one_step_script("laser_on", {"mode": "w", "couplings": [[0, 1, float("nan")]],
                                   "duration": 1.0}),
+    _decohere_at([1, 2]),
+    _decohere_at([1, 2, 3, 4]),
+    _decohere_at([float("nan"), 0, 0]),
+    _one_step_script("laser_on", {"mode": "w", "couplings": [[0, 0, 0.2]], "duration": 1.0}),
+    _script(initial={"element": -1}),
+    _script(initial={"element": 99}),
+    _script(initial={"element": 1.5}),
+    _one_step_script("prepare", {"element": 1.7}),
+    _raw_script([{"kind": "wait", "params": {"duration": 1.0}}]),
+    _script(steps=[5]),
+    _script(steps=[{"kind": "wait", "params": [1.0]}]),
+    _one_step_script("wait", {"duration": 1.0, "speed": 2.0}),
+    _script(mode="quantum", steps=[]),
+    _script(seed="abc", steps=[]),
+    _script(models={"couplings": [{"i": 0, "j": 1, "value": [1]}]}, steps=[]),
+    _script(models=[], steps=[]),
+    _script(initial=[], steps=[]),
+    lambda tmp_path: ["basis", write(tmp_path, "c.json", [BASIS_CONFIG])],
 ], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative",
         "expect-not-a-list", "wait-inf", "wait-nan", "laser-duration-nan",
-        "laser-coupling-nan"])
+        "laser-coupling-nan", "decohere-R-short", "decohere-R-long", "decohere-R-nan",
+        "laser-coupling-diagonal", "initial-negative", "initial-outside", "initial-float",
+        "prepare-float", "script-not-object", "step-not-object", "params-not-object",
+        "unknown-params-key", "mode-unknown", "seed-not-integer", "models-value-short",
+        "models-not-object", "initial-not-object", "basis-config-not-object"])
 def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _mostly(good, *bad):
+    """Draw from good three times in four, else from one of bad."""
+    bad = st.one_of(*bad)
+    return st.integers(0, 3).flatmap(lambda k: bad if k == 3 else good)
+
+
+# Values for BASIS_CONFIG's 8-element basis: mostly well-formed, else of the
+# wrong type, non-finite, negative, out of range or fractional.
+_JUNK = st.sampled_from([None, 5, "w", [], {}, [1, 2], math.nan])
+_INDEX = _mostly(st.integers(0, 7), st.integers(-3, 12),
+                 st.sampled_from([1.0, 1.7, "1", None, True, 10 ** 30]))
+_NUMBER = _mostly(st.floats(0, 3), st.floats(-5, 5),
+                  st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, "0.5", None, [], {}]))
+_COUPLING = _mostly(st.tuples(_INDEX, _INDEX, _NUMBER).map(list),
+                    st.tuples(_INDEX, _INDEX, _NUMBER, _NUMBER).map(list),
+                    st.lists(_INDEX, max_size=5), _JUNK)
+_ABSORB = _mostly(st.just(["w"]), st.just(["ghost"]), st.lists(_JUNK, max_size=2), _JUNK)
+_R = _mostly(st.lists(st.floats(-5, 5), min_size=3, max_size=3),
+             st.lists(_NUMBER, max_size=4), _JUNK)
+_PARAMS = {  # kind: (required, optional)
+    "prepare": ({"element": _INDEX}, {"absorb": _ABSORB}),
+    "laser_on": ({"mode": _mostly(st.just("w"), st.just(3)),
+                  "couplings": st.lists(_COUPLING, max_size=3), "duration": _NUMBER},
+                 {"absorb": _ABSORB}),
+    "wait": ({}, {"duration": _NUMBER, "rate": _NUMBER}),
+    "induce": ({"pairs": _mostly(st.lists(st.tuples(_INDEX, _INDEX).map(list), max_size=3),
+                                 st.lists(st.lists(_INDEX, max_size=3), max_size=2), _JUNK)}, {}),
+    "erase": ({"indices": _mostly(st.lists(_INDEX, max_size=3), _JUNK)},
+              {"renormalize": _mostly(st.booleans(), st.sampled_from(["yes", None]))}),
+    "decohere": ({"emit": _INDEX, "target": _INDEX},
+                 {"R": _R, "renormalize": _mostly(st.booleans(), _JUNK)}),
+}
+
+
+@st.composite
+def _step_rows(draw):
+    kind = draw(_mostly(st.sampled_from(sorted(_PARAMS)), st.sampled_from(["teleport", None, 7])))
+    required, optional = _PARAMS.get(kind, ({}, {}))
+    params = draw(st.fixed_dictionaries(required, optional=optional))
+    if draw(st.integers(0, 7)) == 0:  # drop a key or add an unknown one
+        key = draw(st.sampled_from([*params, "speed", "element_index"]))
+        if key in params:
+            del params[key]
+        else:
+            params[key] = 1
+    return draw(_mostly(st.just({"kind": kind, "params": params}),
+                        st.sampled_from([{"kind": kind}, {"kind": kind, "params": [params]},
+                                         [kind, params], "wait"])))
+
+
+_SCRIPTS = st.fixed_dictionaries({
+    "basis_config": st.just(BASIS_CONFIG),
+    "initial": _mostly(st.fixed_dictionaries({"element": _INDEX}), st.just({}), _JUNK),
+    "steps": st.lists(_step_rows(), max_size=4),
+}, optional={
+    "models": st.just({"couplings": [{"i": 0, "j": 4, "value": [0.2, 0.1]}]}),
+    "mode": _mostly(st.just("stochastic"), st.just("quantum")),
+    "seed": _mostly(st.integers(0, 3), st.just(-1), _JUNK),
+})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(script=_SCRIPTS)
+def test_run_keeps_exit_code_contract(script):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w") as fh:
+            json.dump(script, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", path])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestSpinCommand:

@@ -52,6 +52,40 @@ class TestSteps:
             ProtocolStep.wait(rate=rate)
 
 
+@pytest.mark.parametrize("row, step", [
+    ({"kind": "prepare", "params": {"element": 2, "absorb": ["w"]}},
+     ProtocolStep.prepare(2, ["w"])),
+    ({"kind": "laser_on", "params": {"mode": "w", "couplings": [[0, 1, 0.2, -0.1], [1, 2, 0.3]],
+                                     "duration": 1.5, "absorb": ["w"]}},
+     ProtocolStep.laser_on("w", [(0, 1, 0.2 - 0.1j), (1, 2, 0.3)], 1.5, ["w"])),
+    ({"kind": "wait", "params": {"rate": 2.0}}, ProtocolStep.wait(rate=2.0)),
+    ({"kind": "induce", "params": {"pairs": [[0, 3], [1, 2]]}},
+     ProtocolStep.induce([(0, 3), (1, 2)])),
+    ({"kind": "erase", "params": {"indices": [4, 1], "renormalize": True}},
+     ProtocolStep.erase([4, 1], renormalize=True)),
+    ({"kind": "decohere", "params": {"emit": 5, "target": 1, "R": [0, 5, 0], "renormalize": True}},
+     ProtocolStep.decohere(5, 1, (0.0, 5.0, 0.0), renormalize=True)),
+], ids=["prepare", "laser_on", "wait", "induce", "erase", "decohere"])
+def test_from_dict_matches_constructor(row, step):
+    assert ProtocolStep.from_dict(row) == step
+
+
+@pytest.mark.parametrize("row, message", [
+    ([("kind", "wait")], "must be an object"),
+    ({"kind": "wait", "params": [1.0]}, "params must be an object"),
+    ({"kind": "prepare", "params": {"element_index": 1}}, "unknown params key 'element_index'"),
+    ({"kind": "erase", "params": {"indices": [1], "mode": "w"}}, "unexpected keyword"),
+    ({"kind": "induce", "params": {"pairs": [[0, 1.0]]}}, "integer"),
+    ({"kind": "laser_on", "params": {"mode": "w", "couplings": [[0, 1]], "duration": 1}},
+     "not enough values"),
+    ({"kind": "teleport"}, "unknown kind 'teleport'"),
+], ids=["row-not-object", "params-not-object", "constructor-argument-name", "unknown-key",
+        "float-index", "coupling-without-value", "unknown-kind"])
+def test_from_dict_rejects_malformed_rows(row, message):
+    with pytest.raises(ProtocolError, match=message):
+        ProtocolStep.from_dict(row)
+
+
 class TestRunBasics:
     def test_empty_run_has_initial_snapshot_only(self):
         scn = lambda_scenario()
