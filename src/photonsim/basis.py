@@ -28,6 +28,7 @@ __all__ = [
     "fourfold_manifold",
     "enumerate_basis",
     "canonical_index",
+    "MAX_BASIS_SIZE",
 ]
 
 PRODUCT = "product"
@@ -35,6 +36,11 @@ ENTANGLED = "entangled"
 Guise = Literal["product", "entangled"]
 
 _GUISE_RANK = {PRODUCT: 0, ENTANGLED: 1}
+
+# The most elements ``enumerate_basis`` builds; it refuses a larger basis
+# before allocating any.  Building one peaks at about 1 kB per element
+# (measured at 21,168 elements), so a basis at the cap takes about 1 GB.
+MAX_BASIS_SIZE = 10**6
 
 # Trivial one-constituent partition used by single-system examples.
 SINGLE_PARTITE = PartitionScheme(id="1-partite", blocks=((1,),))
@@ -208,18 +214,26 @@ def enumerate_basis(
     per-mode occupation 0..n_max, per-mode guise) exactly once.
 
     The conceptually infinite photon ladders are truncated at n_max, which is
-    recorded in the basis metadata.
+    recorded in the basis metadata.  A basis of more than ``MAX_BASIS_SIZE``
+    elements is refused before any is built.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if not partitions:
         raise ValueError("need at least one partition scheme")
+    if len({p.id for p in partitions}) != len(partitions):
+        raise ValueError("partition ids must be distinct")
+    if len({m.id for m in modes}) != len(modes):
+        raise ValueError("basis modes must be distinct")
     for m in modes:
         if m.id not in registry.modes:
             raise ValueError(f"mode {m.id!r} not in registry")
     en_labels = [registry.levels[k] for k in sorted(registry.levels)]
     if not en_labels:
         raise ValueError("registry has no EN levels")
+    size = sum(len(en_labels) ** p.n_blocks for p in partitions) * (2 * (n_max + 1)) ** len(modes)
+    if size > MAX_BASIS_SIZE:
+        raise ValueError(f"basis would have more than {MAX_BASIS_SIZE} elements")
 
     elements = []
     for part in partitions:

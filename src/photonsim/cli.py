@@ -2,13 +2,14 @@
 
 Subcommands: basis, run, secular, spin, atto, slits.
 Exit codes: 0 success/match, 1 template mismatch, 2 input error, 3 runtime
-step failure.  Numeric output carries 12 significant digits.
+step failure.  Numeric output carries 12 significant digits.  Subcommands
+raise; ``main`` alone turns an error into its exit code and one stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import operator
 import os
 import sys
@@ -18,8 +19,9 @@ import numpy as np
 from . import scenarios
 from .basis import Basis, enumerate_basis
 from .dynamics import double_slit_pattern, solve_secular, visibility
-from .labels import CouplingModel, PartitionScheme, Registry, RegistryError
-from .protocol import ProtocolError, ProtocolStep, ProtocolStepError, check_templates, run
+from .labels import (CouplingModel, PartitionScheme, Registry, RegistryError, json_rows,
+                     load_json, reading)
+from .protocol import ProtocolStep, ProtocolStepError, check_templates, run
 from .qstate import QState, window_state
 from .spin import permute_labels, s_squared_matrix, singlet, spin_expectation, triplet
 
@@ -42,17 +44,6 @@ def _resolve(path: str) -> str:
     return candidate if os.path.exists(candidate) else path
 
 
-def _load_json(path: str):
-    path = _resolve(path)
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise RegistryError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise RegistryError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-
-
 def _write_out(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -67,30 +58,26 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _basis_from_config(cfg: dict) -> tuple[Registry, Basis]:
-    registry = Registry.from_dict(_object(cfg, "config"))
+def _basis_from_config(cfg: dict) -> Basis:
+    registry = Registry.from_dict(cfg)
     partitions = []
-    for idx, row in enumerate(cfg.get("partitions", [])):
-        try:
-            partitions.append(PartitionScheme(id=str(row["id"]),
-                                              blocks=tuple(tuple(b) for b in row["blocks"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RegistryError(f"partitions[{idx}]: {exc}") from None
+    for what, row in json_rows(cfg, "partitions"):
+        with reading(what):
+            partitions.append(PartitionScheme(id=str(row["id"]), blocks=row["blocks"]))
     if not partitions:
         raise RegistryError("config needs a non-empty 'partitions' array")
     mode_ids = cfg.get("basis_modes", sorted(registry.modes))
-    modes = [registry.mode(mid) for mid in mode_ids]
-    n_max = int(cfg.get("n_max", 1))
-    return registry, enumerate_basis(registry, partitions, modes, n_max)
+    if not isinstance(mode_ids, list):
+        raise RegistryError("basis_modes must be a list of mode ids")
+    with reading("basis_modes"):
+        modes = [registry.mode(mid) for mid in mode_ids]
+    with reading("n_max"):
+        n_max = operator.index(cfg.get("n_max", 1))
+    return enumerate_basis(registry, partitions, modes, n_max)
 
 
 def cmd_basis(args) -> int:
-    try:
-        cfg = _load_json(args.config)
-        _, basis = _basis_from_config(cfg)
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    basis = _basis_from_config(load_json(_resolve(args.config)))
     _write_out(basis.to_json() + "\n", args.out)
     print(f"{len(basis)} elements", file=sys.stderr)
     return EXIT_OK
@@ -111,48 +98,43 @@ def _templates_from_json(rows) -> list[frozenset[int]]:
 
 
 def cmd_run(args) -> int:
-    try:
-        script = _object(_load_json(args.script), "script")
-        mode = args.mode or script.get("mode", "deterministic")
-        seed = args.seed if args.seed is not None else script.get("seed")
-        if "scenario" in script:
-            name = script["scenario"]
-            if name not in _SCENARIOS:
-                raise RegistryError(f"unknown scenario {name!r}")
+    script = _object(load_json(_resolve(args.script)), "script")
+    mode = args.mode or script.get("mode", "deterministic")
+    seed = args.seed if args.seed is not None else script.get("seed")
+    if "scenario" in script:
+        name = script["scenario"]
+        if not isinstance(name, str) or name not in _SCENARIOS:
+            raise RegistryError(f"unknown scenario {name!r}")
+        with reading("params"):
             scn = _SCENARIOS[name](**script.get("params", {}))
-            initial, steps = scn.initial, list(scn.steps)
-            templates = scn.templates
-            models = None
-        else:
-            _, basis = _basis_from_config(script["basis_config"])
-            models = CouplingModel()
-            for row in _object(script.get("models", {}), "models").get("couplings", []):
+        initial, steps, templates = scn.initial, scn.steps, scn.templates
+        models = None
+    else:
+        basis = _basis_from_config(_object(script.get("basis_config"), "basis_config"))
+        models = CouplingModel()
+        for what, row in json_rows(_object(script.get("models", {}), "models"), "couplings"):
+            with reading(what):
                 v = row["value"]
                 re, im = v if isinstance(v, list) else (v, 0.0)
-                models.set_drive(operator.index(row["i"]), operator.index(row["j"]), complex(re, im))
-            init = _object(script.get("initial", {}), "initial")
-            if "element" in init:
+                i, j = operator.index(row["i"]), operator.index(row["j"])
+                if not (0 <= i < len(basis) and 0 <= j < len(basis)):
+                    raise RegistryError(f"drive pair ({i},{j}) outside basis of size {len(basis)}")
+                models.set_drive(i, j, complex(re, im))
+        init = _object(script.get("initial", {}), "initial")
+        if "element" in init:
+            with reading("initial.element"):
                 initial = window_state(basis, basis.element_at(operator.index(init["element"])))
-            else:
-                initial = QState(basis, np.zeros(len(basis), dtype=np.complex128))
-            steps = []
-            for idx, row in enumerate(script.get("steps", [])):
-                try:
-                    steps.append(ProtocolStep.from_dict(row))
-                except ProtocolError as exc:
-                    raise ProtocolError(f"steps[{idx}]: {exc}") from None
-            templates = None
-        if args.expect:
-            templates = _templates_from_json(_load_json(args.expect))
-    except (RegistryError, KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        else:
+            initial = QState(basis, np.zeros(len(basis), dtype=np.complex128))
+        steps = []
+        for what, row in json_rows(script, "steps"):
+            with reading(what):
+                steps.append(ProtocolStep.from_dict(row))
+        templates = None
+    if args.expect:
+        templates = _templates_from_json(load_json(_resolve(args.expect)))
 
-    try:
-        trace = run(initial, steps, models=models, seed=seed, mode=mode)
-    except ProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STEP if isinstance(exc, ProtocolStepError) else EXIT_INPUT
+    trace = run(initial, steps, models=models, seed=seed, mode=mode)
     _write_out(trace.to_csv(), args.out)
 
     if templates is not None:
@@ -173,36 +155,44 @@ DEFAULT_SECULAR = {
 }
 
 
+def _finite(value, what: str) -> float:
+    with reading(what):
+        x = float(value) if isinstance(value, (int, float)) else math.nan
+    if not math.isfinite(x):
+        raise RegistryError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
 def cmd_secular(args) -> int:
     params = dict(DEFAULT_SECULAR)
     if args.params:
-        try:
-            params.update(_load_json(args.params))
-        except RegistryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    try:
-        levels = [float(x) for x in params["levels"]]
-        n = len(levels)
-        H = np.diag(np.array(levels, dtype=np.complex128))
-        for row in params["couplings"]:
-            i, j = int(row[0]), int(row[1])
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"coupling ({i},{j}) outside {n} levels")
-            v = complex(row[2], row[3] if len(row) > 3 else 0.0)
-            H[i, j] = v
-            H[j, i] = v.conjugate()
-        if args.anchor_index:
-            k = args.anchor_index[0]
-            if not 0 <= k < n:
-                raise ValueError(f"anchor index {k} outside {n} levels")
-            anchor = levels[k]
-        else:
-            anchor = float(params["anchor"])
-        sol = solve_secular(H, anchor)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        params.update(_object(load_json(_resolve(args.params)), "params"))
+    if not (isinstance(params["levels"], list) and params["levels"]
+            and isinstance(params["couplings"], list)):
+        raise RegistryError("levels must be a non-empty array and couplings an array")
+    levels = [_finite(x, f"levels[{i}]") for i, x in enumerate(params["levels"])]
+    n = len(levels)
+    H = np.diag(np.array(levels, dtype=np.complex128))
+    for idx, row in enumerate(params["couplings"]):
+        what = f"couplings[{idx}]"
+        if not (isinstance(row, list) and len(row) in (3, 4)):
+            raise RegistryError(f"{what} must be [i, j, re] or [i, j, re, im]")
+        with reading(what):
+            i, j = operator.index(row[0]), operator.index(row[1])
+        if not (0 <= i < n and 0 <= j < n):
+            raise RegistryError(f"coupling ({i},{j}) outside {n} levels")
+        v = complex(*(_finite(x, what) for x in row[2:]))
+        H[i, j] = v
+        H[j, i] = v.conjugate()
+    if args.anchor_index:
+        k = args.anchor_index[0]
+        if not 0 <= k < n:
+            raise RegistryError(f"anchor index {k} outside {n} levels")
+        anchor = levels[k]
+    else:
+        anchor = _finite(params["anchor"], "anchor")
+    threshold = _finite(params["threshold"], "threshold")
+    sol = solve_secular(H, anchor)
     mags = np.abs(sol.root_vector)
 
     lines = ["eigenvalues: " + " ".join(_G(x) for x in sol.eigenvalues)]
@@ -217,7 +207,6 @@ def cmd_secular(args) -> int:
         else:
             ratio = None
             lines.append("ratio |C2|/|C3|: N/A")
-        threshold = float(params.get("threshold", 5.0))
         if ratio is None:
             lines.append("verdict: N/A (zero couplings)")
         else:
@@ -248,12 +237,7 @@ def cmd_atto(args) -> int:
             for k in range(5)
         ],
     })
-    try:
-        state = scenarios.attosecond_init(args.center, args.width, args.spacing,
-                                          args.harmonics, reg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    state = scenarios.attosecond_init(args.center, args.width, args.spacing, args.harmonics, reg)
     lines = ["basis_index,re,im"]
     for i, a in enumerate(state.amps):
         lines.append(f"{i},{_G(a.real)},{_G(a.imag)}")
@@ -263,12 +247,8 @@ def cmd_atto(args) -> int:
 
 def cmd_slits(args) -> int:
     c1, c2 = complex(args.c1), complex(args.c2)
-    try:
-        x, intensity = double_slit_pattern(c1, c2, args.d, args.L, args.kappa,
-                                           args.samples, norm_tol=args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    x, intensity = double_slit_pattern(c1, c2, args.d, args.L, args.kappa, args.samples,
+                                       norm_tol=args.tol)
     lines = ["x,intensity"]
     for xi, ii in zip(x, intensity):
         lines.append(f"{_G(xi)},{_G(ii)}")
@@ -284,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="support / normalization tolerance")
 
     p = sub.add_parser("basis", help="enumerate a basis from a registry config")
     p.add_argument("config", help="JSON registry + partitions config")
@@ -297,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", help="JSON support-template file to compare against")
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=["deterministic", "stochastic"])
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="support tolerance of the template check: |amplitude| above it is nonzero")
     common(p)
     p.set_defaults(func=cmd_run)
 
@@ -326,14 +306,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, default=100.0)
     p.add_argument("--kappa", type=float, default=20.0)
     p.add_argument("--samples", type=int, default=201)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="normalization tolerance: | |c1|^2 + |c2|^2 - 1 | must not exceed it")
     common(p)
     p.set_defaults(func=cmd_slits)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  The one place an error becomes an exit code: a
+    failed protocol step exits 3; malformed input (any ``ValueError``) and an
+    unreadable input or unwritable output (``OSError``) exit 2.  Anything else
+    is a bug and keeps its traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STEP if isinstance(exc, ProtocolStepError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

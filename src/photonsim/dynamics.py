@@ -218,10 +218,10 @@ def double_slit_pattern(C1: complex, C2: complex, d: float, L: float,
     first-order minima, so with an odd sample count the grid hits the exact
     maximum (x = 0) and minima (endpoints).
     """
-    if abs((abs(C1) ** 2 + abs(C2) ** 2) - 1.0) > norm_tol:
+    if not abs((abs(C1) ** 2 + abs(C2) ** 2) - 1.0) <= norm_tol:
         raise ValueError("|C1|^2 + |C2|^2 must be 1")
-    if d <= 0 or L <= 0 or kappa <= 0:
-        raise ValueError("geometry parameters must be positive")
+    if not all(0 < v < np.inf for v in (d, L, kappa)):
+        raise ValueError("geometry parameters must be finite and positive")
     if samples < 1:
         raise ValueError("need at least one sample")
     half = fringe_half_width(d, L, kappa)

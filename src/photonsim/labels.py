@@ -8,8 +8,11 @@ times the unit propagation direction (c = 1).
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -23,7 +26,10 @@ __all__ = [
     "Registry",
     "RegistryError",
     "is_resonant",
+    "json_rows",
+    "load_json",
     "photonic_level",
+    "reading",
 ]
 
 DEFAULT_RESONANCE_TOL = 1e-9
@@ -33,7 +39,9 @@ class RegistryError(ValueError):
     """Raised for malformed registry files; message cites the offending field."""
 
 
-def _unit(vec: tuple[float, float, float]) -> tuple[float, float, float]:
+def _unit(vec: tuple[float, ...]) -> tuple[float, float, float]:
+    if len(vec) != 3 or not all(map(math.isfinite, vec)):
+        raise ValueError("direction vector must be 3 finite numbers")
     norm = math.sqrt(sum(v * v for v in vec))
     if norm == 0.0:
         raise ValueError("direction vector must be nonzero")
@@ -114,12 +122,12 @@ class PartitionScheme:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
+        blocks = tuple(tuple(operator.index(i) for i in b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        flat = [i for b in blocks for i in b]
+        flat = sorted(i for b in blocks for i in b)
         if len(set(flat)) != len(flat):
             raise ValueError(f"partition {self.id!r}: blocks are not disjoint")
-        if not flat or set(flat) != set(range(1, max(flat) + 1)):
+        if not flat or flat != list(range(1, len(flat) + 1)):
             raise ValueError(f"partition {self.id!r}: blocks must cover 1..m with no gaps")
 
     @property
@@ -171,6 +179,8 @@ class CouplingModel:
         if i == j:
             raise ValueError("drive couplings are off-diagonal only")
         value = complex(value)
+        if not cmath.isfinite(value):
+            raise ValueError(f"drive coupling ({i},{j}) must be finite")
         self._drive[(i, j)] = value
         self._drive[(j, i)] = value.conjugate()
 
@@ -247,39 +257,57 @@ class Registry:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Registry":
+        if not isinstance(data, Mapping):
+            raise RegistryError("config must be an object")
         reg = cls()
-        for idx, row in enumerate(data.get("levels", [])):
-            try:
-                reg.add_level(ENLabel(j=int(row["j"]), k_sub=int(row.get("k", 0)),
+        for what, row in json_rows(data, "levels"):
+            with reading(what):
+                reg.add_level(ENLabel(j=operator.index(row["j"]), k_sub=operator.index(row.get("k", 0)),
                                       energy=float(row["energy"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RegistryError(f"levels[{idx}]: {exc}") from None
-        for idx, row in enumerate(data.get("modes", [])):
-            try:
+        for what, row in json_rows(data, "modes"):
+            with reading(what):
                 reg.add_mode(ModeLabel(id=str(row["id"]), omega=float(row["omega"]),
                                        direction=tuple(row.get("dir", (1.0, 0.0, 0.0)))))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RegistryError(f"modes[{idx}]: {exc}") from None
-        for idx, row in enumerate(data.get("couplings", [])):
-            try:
-                a = reg.level(int(row["from"][0]), int(row["from"][1]))
-                b = reg.level(int(row["to"][0]), int(row["to"][1]))
+        for what, row in json_rows(data, "couplings"):
+            with reading(what):
+                a = reg.level(operator.index(row["from"][0]), operator.index(row["from"][1]))
+                b = reg.level(operator.index(row["to"][0]), operator.index(row["to"][1]))
                 v = row["value"]
                 value = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
                 reg.couplings.set_transition(a, b, value)
-            except RegistryError:
-                raise
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                raise RegistryError(f"couplings[{idx}]: {exc}") from None
         return reg
 
     @classmethod
     def from_json(cls, path: str) -> "Registry":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise RegistryError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-        if not isinstance(data, dict):
-            raise RegistryError(f"{path}: top level must be an object")
-        return cls.from_dict(data)
+        return cls.from_dict(load_json(path))
+
+
+def load_json(path: str):
+    """Parse the JSON file at ``path``.  A syntax error becomes a
+    ``RegistryError`` citing its line and column; an unreadable file raises
+    ``OSError``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RegistryError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
+@contextlib.contextmanager
+def reading(what: str):
+    """Turn a malformed raw-JSON value met inside the block (a missing key, a
+    wrong type, a fractional index, a value out of range) into a
+    ``RegistryError`` naming ``what``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise RegistryError(f"{what}: {exc}") from None
+
+
+def json_rows(data: Mapping, key: str) -> list[tuple[str, dict]]:
+    """The rows of the array of objects ``data[key]`` (empty when absent),
+    each with its name ``key[i]`` for ``reading``."""
+    rows = data.get(key, [])
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise RegistryError(f"{key!r} must be an array of objects")
+    return [(f"{key}[{i}]", row) for i, row in enumerate(rows)]

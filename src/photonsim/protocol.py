@@ -64,6 +64,18 @@ _SCRIPT_KEYS = {"element": "element_index", "mode": "mode_id", "absorb": "absorb
                 "emit": "emit_index", "target": "target_index"}
 
 
+def _mode_ids(absorb_modes: Sequence[str]) -> list[str]:
+    if not (isinstance(absorb_modes, (list, tuple)) and all(isinstance(m, str) for m in absorb_modes)):
+        raise ProtocolError("absorb must be a list of mode ids")
+    return list(absorb_modes)
+
+
+def _flag(renormalize: bool) -> bool:
+    if not isinstance(renormalize, bool):
+        raise ProtocolError("renormalize must be true or false")
+    return renormalize
+
+
 @dataclass(frozen=True)
 class ProtocolStep:
     """One experimental action.  Build it with the class-method constructor of
@@ -100,12 +112,15 @@ class ProtocolStep:
 
     @classmethod
     def prepare(cls, element_index: int, absorb_modes: Sequence[str] = (), annotation: str = ""):
-        return cls("prepare", {"element": operator.index(element_index), "absorb": list(absorb_modes)}, annotation)
+        return cls("prepare", {"element": operator.index(element_index), "absorb": _mode_ids(absorb_modes)},
+                   annotation)
 
     @classmethod
     def laser_on(cls, mode_id: str, couplings: Sequence[tuple[int, int, complex]],
                  duration: float, absorb_modes: Sequence[str] = (), annotation: str = ""):
         """Coupling rows are ``(i, j, value)``, or ``(i, j, re[, im])`` as in scripts."""
+        if not isinstance(mode_id, str):
+            raise ProtocolError("mode must be a mode id")
         if not math.isfinite(duration):
             raise ProtocolError("duration must be finite")
         if duration < 0:
@@ -121,7 +136,7 @@ class ProtocolStep:
             "mode": mode_id,
             "couplings": rows,
             "duration": float(duration),
-            "absorb": list(absorb_modes),
+            "absorb": _mode_ids(absorb_modes),
         }, annotation)
 
     @classmethod
@@ -146,7 +161,7 @@ class ProtocolStep:
     @classmethod
     def erase(cls, indices: Iterable[int], renormalize: bool = False, annotation: str = ""):
         return cls("erase", {"indices": sorted(operator.index(i) for i in indices),
-                             "renormalize": bool(renormalize)}, annotation)
+                             "renormalize": _flag(renormalize)}, annotation)
 
     @classmethod
     def decohere(cls, emit_index: int, target_index: int,
@@ -157,7 +172,7 @@ class ProtocolStep:
             raise ProtocolError("R must be 3 finite numbers")
         return cls("decohere", {"emit": operator.index(emit_index),
                                 "target": operator.index(target_index),
-                                "R": R, "renormalize": bool(renormalize)}, annotation)
+                                "R": R, "renormalize": _flag(renormalize)}, annotation)
 
 
 @dataclass(frozen=True)
@@ -255,12 +270,15 @@ def run(
     ledger = np.zeros(3)
     entries = [TraceEntry(0, "initial", state, (), tuple(ledger))]
 
+    modes = {}  # each mode id is looked up in the basis once per run
+
     def _mode(mode_id: str):
-        for el in basis:
-            for fock, _ in el.photon_part:
-                if fock.mode.id == mode_id:
-                    return fock.mode
-        raise ProtocolError(f"mode {mode_id!r} not present in basis")
+        if mode_id not in modes:
+            modes[mode_id] = next((fock.mode for el in basis for fock, _ in el.photon_part
+                                   if fock.mode.id == mode_id), None)
+        if modes[mode_id] is None:
+            raise ProtocolError(f"mode {mode_id!r} not present in basis")
+        return modes[mode_id]
 
     for step_no, step in enumerate(steps, 1):
         p = step.params
@@ -268,6 +286,7 @@ def run(
             if step.kind == "prepare":
                 state = window_state(basis, basis.element_at(p["element"]), state.time_tag)
             elif step.kind == "laser_on":
+                _mode(p["mode"])
                 # A step without couplings of its own takes the drive terms of the run's models.
                 cm = (models if models is not None and not p["couplings"] else
                       CouplingModel(mode_couplings={(i, j): v for i, j, v in p["couplings"]}))

@@ -57,6 +57,8 @@ def lambda_scenario(omega_10: float = 1.0, omega_20: float = 0.6,
     """
     if not (omega_10 > omega_20 > 0):
         raise ValueError("need omega_10 > omega_20 > 0")
+    if not 0 < coupling < math.inf:
+        raise ValueError("coupling must be finite and > 0")
     omega_12 = omega_10 - omega_20
     k_f = (1.0, 0.0, 0.0)
     k_perp = (0.0, 1.0, 0.0)
@@ -138,6 +140,8 @@ def halted_light_scenario(omega_pump: float = 1.0, omega_side: float = 0.4,
     """
     if not (omega_pump > omega_side > 0):
         raise ValueError("need omega_pump > omega_side > 0")
+    if not 0 < coupling < math.inf:
+        raise ValueError("coupling must be finite and > 0")
     k_f = (1.0, 0.0, 0.0)
     pump = ModeLabel("w20f", omega_pump, k_f)
     plus = ModeLabel("w12p", omega_side, (0.0, 1.0, 0.0))
@@ -231,6 +235,8 @@ def one_photon_dissociation_scenario(outcome: int = 1, omega: float = 1.0,
     """
     if outcome not in (1, 2, 3, 4):
         raise ValueError("outcome must be 1..4")
+    if not 0 < coupling < math.inf:
+        raise ValueError("coupling must be finite and > 0")
     m = 5
     a0 = PartitionScheme("A0", (tuple(range(1, m + 1)),))
     b1 = PartitionScheme("B1", (tuple(range(1, m)), (m,)))
@@ -326,8 +332,8 @@ def attosecond_init(center: float, width: float, spacing: float,
     n_harmonics is the total (odd) comb size; the comb is omega_n = center +
     n*spacing for n in [-(h-1)/2 .. +(h-1)/2].
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
+    if not 0 < width < math.inf:
+        raise ValueError("width must be finite and positive")
     if n_harmonics < 1 or n_harmonics % 2 == 0:
         raise ValueError("n_harmonics must be a positive odd count")
     if width >= center / 10.0:

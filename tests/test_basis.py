@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import photonsim.basis as basis_module
 from photonsim.basis import (
     ENTANGLED,
     PRODUCT,
@@ -140,6 +141,22 @@ class TestEnumerateBasis:
         with pytest.raises(ValueError, match="not in registry"):
             enumerate_basis(pair_registry, [SINGLE_PARTITE],
                             [ModeLabel("nope", 2.0)], n_max=0)
+
+    def test_duplicate_partitions_and_modes_rejected(self, pair_registry):
+        w = pair_registry.mode("w")
+        with pytest.raises(ValueError, match="partition ids"):
+            enumerate_basis(pair_registry, [SINGLE_PARTITE, SINGLE_PARTITE], [w], n_max=0)
+        with pytest.raises(ValueError, match="modes must be distinct"):
+            enumerate_basis(pair_registry, [SINGLE_PARTITE], [w, w], n_max=0)
+
+    def test_size_cap_is_exact(self, pair_registry, monkeypatch):
+        # (2 levels)^1 block * (2 guises * 3 occupations)^1 mode = 12 elements
+        parts, modes = [SINGLE_PARTITE], [pair_registry.mode("w")]
+        monkeypatch.setattr(basis_module, "MAX_BASIS_SIZE", 12)
+        assert len(enumerate_basis(pair_registry, parts, modes, n_max=2)) == 12
+        monkeypatch.setattr(basis_module, "MAX_BASIS_SIZE", 11)
+        with pytest.raises(ValueError, match="more than 11 elements"):
+            enumerate_basis(pair_registry, parts, modes, n_max=2)
 
 
 class TestCanonicalOrder:

@@ -198,6 +198,17 @@ def _decohere_at(R):
     return _one_step_script("decohere", {"emit": 0, "target": 2, "R": R})
 
 
+def _basis_config(**fields):
+    return lambda tmp_path: ["basis", write(tmp_path, "c.json", {**BASIS_CONFIG, **fields})]
+
+
+def _secular_params(payload):
+    return lambda tmp_path: ["secular", write(tmp_path, "p.json", payload)]
+
+
+_LEVEL_0 = {"j": 0, "energy": 0.0}
+
+
 @pytest.mark.parametrize("argv", [
     _secular_coupling_outside,
     lambda tmp_path: ["secular", "--anchor-index", "7"],
@@ -227,17 +238,94 @@ def _decohere_at(R):
     _script(models=[], steps=[]),
     _script(initial=[], steps=[]),
     lambda tmp_path: ["basis", write(tmp_path, "c.json", [BASIS_CONFIG])],
+    lambda tmp_path: ["atto", "--center", "nan"],
+    lambda tmp_path: ["atto", "--width", "inf"],
+    lambda tmp_path: ["slits", "--c1", "nan"],
+    lambda tmp_path: ["slits", "--d", "nan"],
+    _secular_params([1, 2]),
+    _secular_params({"threshold": "high"}),
+    _secular_params({"threshold": float("nan")}),
+    _secular_params({"anchor": float("nan")}),
+    _secular_params({"couplings": [[0, 1.7, 0.2]]}),
+    _secular_params({"couplings": [[0, 1, 0.2, 0.0, 9]]}),
+    _secular_params({"couplings": [[0, 1, float("nan")]]}),
+    _basis_config(basis_modes=["w", "w"]),
+    _basis_config(basis_modes="w"),
+    _basis_config(levels=[_LEVEL_0, {"j": 1.9, "energy": 1.0}]),
+    _basis_config(levels=[_LEVEL_0, {"j": 1, "k": 0.5, "energy": 1.0}]),
+    _basis_config(levels=5),
+    _basis_config(couplings=[{"from": [0.9, 0], "to": [1, 0], "value": 0.1}]),
+    _basis_config(modes=[{"id": "w", "omega": 1.0, "dir": [1, 0]}]),
+    _basis_config(n_max=1.9),
+    _basis_config(partitions=5),
+    _basis_config(partitions=[{"id": "A0", "blocks": [[1.5]]}]),
+    _basis_config(partitions=[{"id": "A0", "blocks": [[1]]}, {"id": "A0", "blocks": [[1]]}]),
+    _basis_config(partitions=[{"id": "A0", "blocks": [[1, 10 ** 12]]}]),
+    _basis_config(n_max=10 ** 9),
+    _one_step_script("prepare", {"element": 1, "absorb": "ww"}),
+    _one_step_script("erase", {"indices": [0], "renormalize": "no"}),
+    _one_step_script("laser_on", {"mode": 3, "couplings": [[0, 1, 0.2]], "duration": 1.0}),
+    _script(models={"couplings": [{"i": 0, "j": 1, "value": [float("nan"), 0]}]},
+            steps=[{"kind": "laser_on", "params": {"mode": "w", "couplings": [], "duration": 1.0}}]),
+    _script(models={"couplings": [{"i": 0, "j": 40, "value": 0.1}]}, steps=[]),
+    _raw_script({"scenario": "lambda", "params": {"coupling": 0}}),
+    _raw_script({"scenario": "halted_light", "params": {"coupling": 0}}),
+    _raw_script({"scenario": "one_photon", "params": {"coupling": 0}}),
 ], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative",
         "expect-not-a-list", "wait-inf", "wait-nan", "laser-duration-nan",
         "laser-coupling-nan", "decohere-R-short", "decohere-R-long", "decohere-R-nan",
         "laser-coupling-diagonal", "initial-negative", "initial-outside", "initial-float",
         "prepare-float", "script-not-object", "step-not-object", "params-not-object",
         "unknown-params-key", "mode-unknown", "seed-not-integer", "models-value-short",
-        "models-not-object", "initial-not-object", "basis-config-not-object"])
+        "models-not-object", "initial-not-object", "basis-config-not-object",
+        "atto-center-nan", "atto-width-inf", "slits-c1-nan", "slits-d-nan", "secular-params-not-object", "secular-threshold-string",
+        "secular-threshold-nan", "secular-anchor-nan", "secular-coupling-float-index",
+        "secular-coupling-five-numbers", "secular-coupling-nan", "basis-modes-duplicate",
+        "basis-modes-string", "level-j-float", "level-k-float", "levels-not-array",
+        "registry-coupling-float-index", "mode-dir-short", "n-max-float", "partitions-not-array",
+        "block-float", "partition-ids-duplicate", "block-huge", "basis-size-cap",
+        "absorb-string", "renormalize-string", "laser-mode-not-string", "models-value-nan",
+        "models-pair-outside", "lambda-coupling-zero", "halted-light-coupling-zero",
+        "one-photon-coupling-zero"])
 def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_secular_nan_level_refused_at_entry(tmp_path, capsys):
+    assert main(_secular_params({"levels": [0.0, float("nan"), 9.5, 7.0]})(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: levels[1] must be a finite number, got nan\n"
+
+
+def test_laser_on_mode_outside_basis_exit_3(tmp_path, capsys):
+    argv = _one_step_script("laser_on", {"mode": "ghost", "couplings": [[0, 1, 0.2]],
+                                         "duration": 1.0})(tmp_path)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: step 1 (laser_on): mode 'ghost' not present in basis\n"
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp_path: ["basis", write(tmp_path, "c.json", BASIS_CONFIG)],
+    lambda tmp_path: ["run", write(tmp_path, "s.json", {"scenario": "lambda"})],
+    lambda tmp_path: ["secular"],
+    lambda tmp_path: ["spin"],
+    lambda tmp_path: ["atto"],
+    lambda tmp_path: ["slits"],
+], ids=["basis", "run", "secular", "spin", "atto", "slits"])
+def test_out_into_missing_directory_exit_2(argv, tmp_path, capsys):
+    assert main(argv(tmp_path) + ["--out", str(tmp_path / "missing" / "out.txt")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "No such file" in err[0]
+
+
+def test_bug_in_run_phase_keeps_its_traceback(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr("photonsim.cli.run", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["run", write(tmp_path, "s.json", {"scenario": "lambda"})])
 
 
 def _mostly(good, *bad):
@@ -315,6 +403,70 @@ def test_run_keeps_exit_code_contract(script):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _exit_code(argv, payload):
+    """Exit code of ``main(argv + [file holding payload])``; an exit 2 must
+    print exactly one ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [path])
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    return code
+
+
+# Registry configs of at most 768 elements when well-formed; an n_max of
+# 10**12 is refused by the size cap before anything is built.
+_LEVEL = st.fixed_dictionaries({"j": _INDEX, "energy": _NUMBER}, optional={"k": _INDEX})
+_MODE = st.fixed_dictionaries(
+    {"id": _mostly(st.sampled_from(["w", "v"]), _JUNK), "omega": _NUMBER},
+    optional={"dir": _mostly(st.just([0, 1, 0]), st.lists(_NUMBER, max_size=4), _JUNK)})
+_PARTITION = st.fixed_dictionaries({
+    "id": _mostly(st.sampled_from(["A", "B"]), _JUNK),
+    "blocks": _mostly(st.sampled_from([[[1, 2]], [[1], [2]], [[2], [1]]]),
+                      st.lists(st.lists(_INDEX, max_size=3), max_size=3), _JUNK)})
+_BASIS_CONFIGS = _mostly(st.fixed_dictionaries({
+    "levels": _mostly(st.lists(_LEVEL, min_size=1, max_size=3), _JUNK),
+    "modes": _mostly(st.lists(_MODE, max_size=2), _JUNK),
+    "partitions": _mostly(st.lists(_PARTITION, min_size=1, max_size=2), _JUNK),
+}, optional={
+    "n_max": _mostly(st.integers(0, 3), st.sampled_from([-1, 1.5, True, "1", None, 10 ** 12])),
+    "basis_modes": _mostly(st.lists(st.sampled_from(["w", "v", "ghost"]), max_size=3), _JUNK),
+    "couplings": st.lists(st.fixed_dictionaries({
+        "from": st.lists(_INDEX, max_size=3), "to": st.lists(_INDEX, max_size=3),
+        "value": _mostly(_NUMBER, st.lists(_NUMBER, max_size=3))}), max_size=2),
+}), _JUNK)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(config=_BASIS_CONFIGS)
+def test_basis_keeps_exit_code_contract(config):
+    assert _exit_code(["basis"], config) in (0, 2)
+
+
+_SECULAR_ROW = _mostly(st.tuples(_INDEX, _INDEX, _NUMBER).map(list),
+                       st.tuples(_INDEX, _INDEX, _NUMBER, _NUMBER).map(list),
+                       st.lists(_NUMBER, max_size=5), _JUNK)
+_SECULAR_PARAMS = _mostly(st.fixed_dictionaries({}, optional={
+    "levels": _mostly(st.lists(st.floats(0, 10), min_size=1, max_size=5),
+                      st.lists(_NUMBER, max_size=5), _JUNK),
+    "couplings": _mostly(st.lists(_SECULAR_ROW, max_size=4), _JUNK),
+    "anchor": _NUMBER,
+    "threshold": _NUMBER,
+}), _JUNK)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(params=_SECULAR_PARAMS,
+       anchor=_mostly(st.just([]), st.integers(-1, 5).map(lambda k: ["--anchor-index", str(k)])))
+def test_secular_keeps_exit_code_contract(params, anchor):
+    assert _exit_code(["secular", *anchor], params) in (0, 2)
 
 
 class TestSpinCommand:
