@@ -78,12 +78,6 @@ class BasisElement:
         if self.phase_dir not in (-1, 0, 1):
             raise ValueError("phase_dir must be -1, 0 or +1")
 
-    def occupation(self, mode_id: str) -> int:
-        for fock, _ in self.photon_part:
-            if fock.mode.id == mode_id:
-                return fock.n
-        return 0
-
     def occupations(self) -> dict[str, int]:
         return {f.mode.id: f.n for f, _ in self.photon_part}
 

@@ -9,7 +9,6 @@ raise; ``main`` alone turns an error into its exit code and one stderr line.
 from __future__ import annotations
 
 import argparse
-import math
 import operator
 import os
 import sys
@@ -18,8 +17,8 @@ import numpy as np
 
 from . import scenarios
 from .basis import Basis, enumerate_basis
-from .dynamics import double_slit_pattern, solve_secular, visibility
-from .labels import (CouplingModel, PartitionScheme, Registry, RegistryError, json_rows,
+from .dynamics import double_slit_pattern, hamiltonian_matrix, solve_secular, visibility
+from .labels import (CouplingModel, PartitionScheme, Registry, RegistryError, finite, json_rows,
                      load_json, reading)
 from .protocol import ProtocolStep, ProtocolStepError, check_templates, run
 from .qstate import QState, window_state
@@ -52,13 +51,22 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, keys) -> dict:
+    """``value`` as a JSON object holding no key outside ``keys``."""
     if not isinstance(value, dict):
         raise RegistryError(f"{what} must be an object")
+    if unknown := sorted(set(value) - set(keys)):
+        raise RegistryError(f"{what}: unknown key {unknown[0]!r}")
     return value
 
 
-def _basis_from_config(cfg: dict) -> Basis:
+_BASIS_KEYS = ("levels", "modes", "couplings", "partitions", "basis_modes", "n_max")
+_SCENARIO_SCRIPT_KEYS = ("scenario", "params", "mode", "seed")
+_SCRIPT_KEYS = ("basis_config", "models", "initial", "steps", "mode", "seed")
+
+
+def _basis_from_config(cfg) -> Basis:
+    cfg = _object(cfg, "basis config", _BASIS_KEYS)
     registry = Registry.from_dict(cfg)
     partitions = []
     for what, row in json_rows(cfg, "partitions"):
@@ -98,10 +106,12 @@ def _templates_from_json(rows) -> list[frozenset[int]]:
 
 
 def cmd_run(args) -> int:
-    script = _object(load_json(_resolve(args.script)), "script")
+    script = load_json(_resolve(args.script))
+    scenario = isinstance(script, dict) and "scenario" in script
+    script = _object(script, "script", _SCENARIO_SCRIPT_KEYS if scenario else _SCRIPT_KEYS)
     mode = args.mode or script.get("mode", "deterministic")
     seed = args.seed if args.seed is not None else script.get("seed")
-    if "scenario" in script:
+    if scenario:
         name = script["scenario"]
         if not isinstance(name, str) or name not in _SCENARIOS:
             raise RegistryError(f"unknown scenario {name!r}")
@@ -110,17 +120,16 @@ def cmd_run(args) -> int:
         initial, steps, templates = scn.initial, scn.steps, scn.templates
         models = None
     else:
-        basis = _basis_from_config(_object(script.get("basis_config"), "basis_config"))
+        basis = _basis_from_config(script.get("basis_config"))
         models = CouplingModel()
-        for what, row in json_rows(_object(script.get("models", {}), "models"), "couplings"):
+        for what, row in json_rows(_object(script.get("models", {}), "models", ("couplings",)),
+                                   "couplings"):
             with reading(what):
-                v = row["value"]
-                re, im = v if isinstance(v, list) else (v, 0.0)
                 i, j = operator.index(row["i"]), operator.index(row["j"])
                 if not (0 <= i < len(basis) and 0 <= j < len(basis)):
                     raise RegistryError(f"drive pair ({i},{j}) outside basis of size {len(basis)}")
-                models.set_drive(i, j, complex(re, im))
-        init = _object(script.get("initial", {}), "initial")
+                models.set_drive(i, j, row["value"])
+        init = _object(script.get("initial", {}), "initial", ("element",))
         if "element" in init:
             with reading("initial.element"):
                 initial = window_state(basis, basis.element_at(operator.index(init["element"])))
@@ -155,43 +164,23 @@ DEFAULT_SECULAR = {
 }
 
 
-def _finite(value, what: str) -> float:
-    with reading(what):
-        x = float(value) if isinstance(value, (int, float)) else math.nan
-    if not math.isfinite(x):
-        raise RegistryError(f"{what} must be a finite number, got {value!r}")
-    return x
-
-
 def cmd_secular(args) -> int:
     params = dict(DEFAULT_SECULAR)
     if args.params:
-        params.update(_object(load_json(_resolve(args.params)), "params"))
-    if not (isinstance(params["levels"], list) and params["levels"]
-            and isinstance(params["couplings"], list)):
-        raise RegistryError("levels must be a non-empty array and couplings an array")
-    levels = [_finite(x, f"levels[{i}]") for i, x in enumerate(params["levels"])]
+        params.update(_object(load_json(_resolve(args.params)), "params", DEFAULT_SECULAR))
+    if not (isinstance(params["levels"], list) and params["levels"]):
+        raise RegistryError("levels must be a non-empty array")
+    levels = [finite(x, f"levels[{i}]") for i, x in enumerate(params["levels"])]
     n = len(levels)
-    H = np.diag(np.array(levels, dtype=np.complex128))
-    for idx, row in enumerate(params["couplings"]):
-        what = f"couplings[{idx}]"
-        if not (isinstance(row, list) and len(row) in (3, 4)):
-            raise RegistryError(f"{what} must be [i, j, re] or [i, j, re, im]")
-        with reading(what):
-            i, j = operator.index(row[0]), operator.index(row[1])
-        if not (0 <= i < n and 0 <= j < n):
-            raise RegistryError(f"coupling ({i},{j}) outside {n} levels")
-        v = complex(*(_finite(x, what) for x in row[2:]))
-        H[i, j] = v
-        H[j, i] = v.conjugate()
+    H = hamiltonian_matrix(np.array(levels), CouplingModel.from_rows(params["couplings"]))
     if args.anchor_index:
         k = args.anchor_index[0]
         if not 0 <= k < n:
             raise RegistryError(f"anchor index {k} outside {n} levels")
         anchor = levels[k]
     else:
-        anchor = _finite(params["anchor"], "anchor")
-    threshold = _finite(params["threshold"], "threshold")
+        anchor = finite(params["anchor"], "anchor")
+    threshold = finite(params["threshold"], "threshold")
     sol = solve_secular(H, anchor)
     mags = np.abs(sol.root_vector)
 
@@ -246,14 +235,13 @@ def cmd_atto(args) -> int:
 
 
 def cmd_slits(args) -> int:
-    c1, c2 = complex(args.c1), complex(args.c2)
-    x, intensity = double_slit_pattern(c1, c2, args.d, args.L, args.kappa, args.samples,
+    x, intensity = double_slit_pattern(args.c1, args.c2, args.d, args.L, args.kappa, args.samples,
                                        norm_tol=args.tol)
     lines = ["x,intensity"]
     for xi, ii in zip(x, intensity):
         lines.append(f"{_G(xi)},{_G(ii)}")
     _write_out("\n".join(lines) + "\n", args.out)
-    print("visibility: " + _G(visibility(c1, c2)), file=sys.stderr)
+    print("visibility: " + _G(visibility(args.c1, args.c2)), file=sys.stderr)
     return EXIT_OK
 
 

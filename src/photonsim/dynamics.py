@@ -24,6 +24,7 @@ __all__ = [
     "Hamiltonian",
     "SecularSolution",
     "build_hamiltonian",
+    "hamiltonian_matrix",
     "propagate",
     "solve_secular",
     "perturbative_amplitudes",
@@ -32,7 +33,10 @@ __all__ = [
     "fringe_half_width",
 ]
 
-_HERMITICITY_TOL = 1e-12
+def _require_hermitian(m: np.ndarray, what: str) -> None:
+    scale = max(float(np.linalg.norm(m)), 1.0)
+    if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
+        raise ValueError(f"{what} must be Hermitian")
 
 
 @dataclass(frozen=True)
@@ -45,15 +49,9 @@ class Hamiltonian:
         n = len(self.basis)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} != basis size {n}")
-        scale = max(float(np.linalg.norm(m)), 1.0)
-        if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL * scale:
-            raise ValueError("Hamiltonian must be Hermitian")
+        _require_hermitian(m, "Hamiltonian")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -74,27 +72,17 @@ class SecularSolution:
         return self.eigenvectors[:, self.root_index]
 
 
-def _drive_pairs(cm: CouplingModel, n: int) -> list[tuple[int, int]]:
-    """The model's drive pairs (i < j), checked Hermitian and inside a basis
-    of size n."""
-    cm.check_hermitian()
-    pairs = cm.drive_pairs
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"drive coupling ({i},{j}) outside basis of size {n}")
-    return pairs
-
-
 def build_hamiltonian(b: Basis, cm: CouplingModel) -> Hamiltonian:
     """Diagonal from photonic levels, off-diagonal from drive couplings."""
-    n = len(b)
-    pairs = _drive_pairs(cm, n)
-    m = np.zeros((n, n), dtype=np.complex128)
-    np.fill_diagonal(m, b.levels())
-    for i, j in pairs:
-        m[i, j] = cm.drive(i, j)
-        m[j, i] = cm.drive(j, i)
-    return Hamiltonian(b, m)
+    return Hamiltonian(b, hamiltonian_matrix(b.levels(), cm))
+
+
+def hamiltonian_matrix(levels: np.ndarray, cm: CouplingModel) -> np.ndarray:
+    """The dense matrix diag(levels) plus the drive terms of ``cm``."""
+    coupled, block = _drive_block(levels, cm)
+    m = np.diag(levels.astype(np.complex128))
+    m[np.ix_(coupled, coupled)] = block
+    return m
 
 
 def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +99,13 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _drive_block(levels: np.ndarray, cm: CouplingModel) -> tuple[np.ndarray, np.ndarray]:
     """Sorted indices with a nonzero drive term, and the Hamiltonian restricted
-    to them: their levels on the diagonal, the drive terms off it."""
-    terms = [(i, j, v) for i, j in _drive_pairs(cm, len(levels)) if (v := cm.drive(i, j)) != 0]
+    to them: their levels on the diagonal, the drive terms off it.  Every
+    drive pair, zero-valued ones too, must lie inside the levels."""
+    pairs = cm.drive_pairs
+    for i, j in pairs:
+        if not (0 <= i < len(levels) and 0 <= j < len(levels)):
+            raise ValueError(f"drive coupling ({i},{j}) outside basis of size {len(levels)}")
+    terms = [(i, j, v) for i, j in pairs if (v := cm.drive(i, j)) != 0]
     coupled = np.array(sorted({k for i, j, _ in terms for k in (i, j)}), dtype=np.intp)
     at = {g: k for k, g in enumerate(coupled.tolist())}
     block = np.diag(levels[coupled].astype(np.complex128))
@@ -155,9 +148,7 @@ def propagate(s: QState, H: Hamiltonian | CouplingModel, dt: float) -> QState:
 def solve_secular(H: Hamiltonian | np.ndarray, anchor: float) -> SecularSolution:
     """Eigendecomposition with the root chosen nearest the anchor level."""
     matrix = H.matrix if isinstance(H, Hamiltonian) else np.asarray(H, dtype=np.complex128)
-    scale = max(float(np.linalg.norm(matrix)), 1.0)
-    if np.max(np.abs(matrix - matrix.conj().T)) > _HERMITICITY_TOL * scale:
-        raise ValueError("secular matrix must be Hermitian")
+    _require_hermitian(matrix, "secular matrix")
     w, v = _eigh(matrix)
     root = int(np.argmin(np.abs(w - anchor)))
     return SecularSolution(eigenvalues=w, eigenvectors=v, root_index=root)

@@ -8,13 +8,13 @@ times the unit propagation direction (c = 1).
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "DEFAULT_RESONANCE_TOL",
@@ -25,6 +25,9 @@ __all__ = [
     "CouplingModel",
     "Registry",
     "RegistryError",
+    "coupling_value",
+    "finite",
+    "flag",
     "is_resonant",
     "json_rows",
     "load_json",
@@ -150,22 +153,36 @@ class CouplingModel:
     Absent entries mean zero (dark transitions).
     """
 
-    def __init__(
-        self,
-        transition_integrals: Mapping[tuple[ENLabel, ENLabel], complex] | None = None,
-        mode_couplings: Mapping[tuple[int, int], complex] | None = None,
-    ):
+    def __init__(self, mode_couplings: Mapping[tuple[int, int], complex] | None = None):
         self._t: dict[tuple, complex] = {}
         self._drive: dict[tuple[int, int], complex] = {}
-        if transition_integrals:
-            for (a, b), v in transition_integrals.items():
-                self.set_transition(a, b, v)
-        if mode_couplings:
-            for (i, j), v in mode_couplings.items():
-                self.set_drive(i, j, v)
+        for (i, j), v in (mode_couplings or {}).items():
+            self.set_drive(i, j, v)
 
-    def set_transition(self, a: ENLabel, b: ENLabel, value: complex) -> None:
-        value = complex(value)
+    @classmethod
+    def from_rows(cls, rows: Sequence) -> "CouplingModel":
+        """Drive couplings from rows ``[i, j, re]`` or ``[i, j, re, im]`` (a
+        library caller may give ``(i, j, complex)``).  A pair given again, in
+        either orientation, takes the value of its last row."""
+        if not isinstance(rows, (list, tuple)):
+            raise RegistryError("couplings must be an array of rows")
+        cm = cls()
+        for k, row in enumerate(rows):
+            with reading(f"couplings[{k}]"):
+                if not (isinstance(row, (list, tuple)) and len(row) in (3, 4)
+                        and not isinstance(row[2], (list, tuple))):
+                    raise ValueError(f"a row must be [i, j, re] or [i, j, re, im], got {row!r}")
+                i, j, *v = row
+                cm.set_drive(operator.index(i), operator.index(j), v if len(v) == 2 else v[0])
+        return cm
+
+    def __eq__(self, other):
+        if not isinstance(other, CouplingModel):
+            return NotImplemented
+        return self._t == other._t and self._drive == other._drive
+
+    def set_transition(self, a: ENLabel, b: ENLabel, value) -> None:
+        value = coupling_value(value)
         existing = self._t.get(_pair_key(b, a))
         if existing is not None and abs(existing - value.conjugate()) > 1e-12:
             raise ValueError(f"non-Hermitian transition integral for {a.key} <-> {b.key}")
@@ -175,12 +192,10 @@ class CouplingModel:
     def transition(self, a: ENLabel, b: ENLabel) -> complex:
         return self._t.get(_pair_key(a, b), 0.0 + 0.0j)
 
-    def set_drive(self, i: int, j: int, value: complex) -> None:
+    def set_drive(self, i: int, j: int, value) -> None:
         if i == j:
-            raise ValueError("drive couplings are off-diagonal only")
-        value = complex(value)
-        if not cmath.isfinite(value):
-            raise ValueError(f"drive coupling ({i},{j}) must be finite")
+            raise ValueError(f"drive coupling ({i},{j}) must be off-diagonal")
+        value = coupling_value(value, f"drive coupling ({i},{j})")
         self._drive[(i, j)] = value
         self._drive[(j, i)] = value.conjugate()
 
@@ -190,14 +205,6 @@ class CouplingModel:
     @property
     def drive_pairs(self) -> list[tuple[int, int]]:
         return sorted(p for p in self._drive if p[0] < p[1])
-
-    def check_hermitian(self, tol: float = 1e-12) -> None:
-        for (a, b), v in self._t.items():
-            if abs(v - self._t[(b, a)].conjugate()) > tol:
-                raise ValueError(f"transition table not Hermitian at {a} <-> {b}")
-        for (i, j), v in self._drive.items():
-            if abs(v - self._drive[(j, i)].conjugate()) > tol:
-                raise ValueError(f"drive table not Hermitian at ({i},{j})")
 
 
 def is_resonant(a: ENLabel, b: ENLabel, m: ModeLabel, tol: float = DEFAULT_RESONANCE_TOL) -> bool:
@@ -263,18 +270,17 @@ class Registry:
         for what, row in json_rows(data, "levels"):
             with reading(what):
                 reg.add_level(ENLabel(j=operator.index(row["j"]), k_sub=operator.index(row.get("k", 0)),
-                                      energy=float(row["energy"])))
+                                      energy=finite(row["energy"], "energy")))
         for what, row in json_rows(data, "modes"):
             with reading(what):
-                reg.add_mode(ModeLabel(id=str(row["id"]), omega=float(row["omega"]),
-                                       direction=tuple(row.get("dir", (1.0, 0.0, 0.0)))))
+                direction = tuple(finite(v, "dir") for v in row.get("dir", (1.0, 0.0, 0.0)))
+                reg.add_mode(ModeLabel(id=str(row["id"]), omega=finite(row["omega"], "omega"),
+                                       direction=direction))
         for what, row in json_rows(data, "couplings"):
             with reading(what):
                 a = reg.level(operator.index(row["from"][0]), operator.index(row["from"][1]))
                 b = reg.level(operator.index(row["to"][0]), operator.index(row["to"][1]))
-                v = row["value"]
-                value = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-                reg.couplings.set_transition(a, b, value)
+                reg.couplings.set_transition(a, b, row["value"])
         return reg
 
     @classmethod
@@ -291,6 +297,32 @@ def load_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise RegistryError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
+def finite(value, what: str) -> float:
+    """``value`` as a finite float.  Only a real number is accepted: a bool or
+    a string is refused, never parsed."""
+    with contextlib.suppress(OverflowError):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    raise RegistryError(f"{what} must be a finite number, got {value!r}")
+
+
+def coupling_value(value, what: str = "coupling value") -> complex:
+    """A coupling value: a finite number, ``[re, im]`` of finite numbers, or a
+    Python ``complex`` with finite parts.  A string is refused, never parsed."""
+    if isinstance(value, complex):
+        value = (value.real, value.imag)
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(finite(value[0], what), finite(value[1], what))
+    return complex(finite(value, what))
+
+
+def flag(value, what: str) -> bool:
+    """``value`` if it is a real bool; anything else is refused."""
+    if not isinstance(value, bool):
+        raise RegistryError(f"{what} must be true or false")
+    return value
 
 
 @contextlib.contextmanager

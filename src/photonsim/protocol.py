@@ -12,7 +12,6 @@ deterministic (advance the clock by the scripted duration) and stochastic
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import propagate
-from .labels import CouplingModel
+from .labels import CouplingModel, finite, flag
 from .qstate import (
     DEFAULT_SUPPORT_TOL,
     EmissionRecord,
@@ -70,12 +69,6 @@ def _mode_ids(absorb_modes: Sequence[str]) -> list[str]:
     return list(absorb_modes)
 
 
-def _flag(renormalize: bool) -> bool:
-    if not isinstance(renormalize, bool):
-        raise ProtocolError("renormalize must be true or false")
-    return renormalize
-
-
 @dataclass(frozen=True)
 class ProtocolStep:
     """One experimental action.  Build it with the class-method constructor of
@@ -118,23 +111,16 @@ class ProtocolStep:
     @classmethod
     def laser_on(cls, mode_id: str, couplings: Sequence[tuple[int, int, complex]],
                  duration: float, absorb_modes: Sequence[str] = (), annotation: str = ""):
-        """Coupling rows are ``(i, j, value)``, or ``(i, j, re[, im])`` as in scripts."""
+        """Coupling rows as read by ``CouplingModel.from_rows``."""
         if not isinstance(mode_id, str):
             raise ProtocolError("mode must be a mode id")
         if not math.isfinite(duration):
             raise ProtocolError("duration must be finite")
         if duration < 0:
             raise ProtocolError("duration must be non-negative")
-        rows = [(operator.index(i), operator.index(j), complex(v, *im))
-                for i, j, v, *im in couplings]
-        for i, j, v in rows:
-            if i == j:
-                raise ProtocolError(f"coupling ({i},{j}) must be off-diagonal")
-            if not cmath.isfinite(v):
-                raise ProtocolError(f"coupling ({i},{j}) must be finite")
         return cls("laser_on", {
             "mode": mode_id,
-            "couplings": rows,
+            "couplings": CouplingModel.from_rows(couplings),
             "duration": float(duration),
             "absorb": _mode_ids(absorb_modes),
         }, annotation)
@@ -161,18 +147,18 @@ class ProtocolStep:
     @classmethod
     def erase(cls, indices: Iterable[int], renormalize: bool = False, annotation: str = ""):
         return cls("erase", {"indices": sorted(operator.index(i) for i in indices),
-                             "renormalize": _flag(renormalize)}, annotation)
+                             "renormalize": flag(renormalize, "renormalize")}, annotation)
 
     @classmethod
     def decohere(cls, emit_index: int, target_index: int,
                  R: tuple[float, float, float] = (0.0, 0.0, 0.0),
                  renormalize: bool = False, annotation: str = ""):
-        R = tuple(float(r) for r in R)
-        if len(R) != 3 or not all(map(math.isfinite, R)):
+        R = tuple(finite(r, "R") for r in R)
+        if len(R) != 3:
             raise ProtocolError("R must be 3 finite numbers")
         return cls("decohere", {"emit": operator.index(emit_index),
                                 "target": operator.index(target_index),
-                                "R": R, "renormalize": _flag(renormalize)}, annotation)
+                                "R": R, "renormalize": flag(renormalize, "renormalize")}, annotation)
 
 
 @dataclass(frozen=True)
@@ -288,8 +274,7 @@ def run(
             elif step.kind == "laser_on":
                 _mode(p["mode"])
                 # A step without couplings of its own takes the drive terms of the run's models.
-                cm = (models if models is not None and not p["couplings"] else
-                      CouplingModel(mode_couplings={(i, j): v for i, j, v in p["couplings"]}))
+                cm = p["couplings"] if p["couplings"].drive_pairs or models is None else models
                 state = propagate(state, cm, p["duration"])
             elif step.kind == "wait":
                 if mode == "stochastic" and p["rate"] is not None:

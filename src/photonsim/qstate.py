@@ -58,9 +58,6 @@ class QState:
     def with_time(self, time_tag: float) -> "QState":
         return QState(self.basis, self.amps, time_tag)
 
-    def amplitude(self, e: BasisElement) -> complex:
-        return complex(self.amps[self.basis.index(e)])
-
 
 @dataclass(frozen=True)
 class EmissionRecord:
@@ -129,10 +126,7 @@ def _emitted_mode(emit: BasisElement, target: BasisElement) -> ModeLabel:
             )
     if decremented is None:
         raise ValueError("no photon available: emitter and target have equal occupations")
-    for fock, _ in emit.photon_part:
-        if fock.mode.id == decremented:
-            return fock.mode
-    raise AssertionError("unreachable")
+    return next(fock.mode for fock, _ in emit.photon_part if fock.mode.id == decremented)
 
 
 def decohere(

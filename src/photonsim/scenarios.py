@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import ENTANGLED, PRODUCT, SINGLE_PARTITE, Basis, BasisElement
-from .labels import ENLabel, FockLabel, ModeLabel, PartitionScheme, Registry
+from .labels import ENLabel, FockLabel, ModeLabel, PartitionScheme, Registry, flag
 from .protocol import ProtocolStep
 from .qstate import QState
 
@@ -142,6 +142,7 @@ def halted_light_scenario(omega_pump: float = 1.0, omega_side: float = 0.4,
         raise ValueError("need omega_pump > omega_side > 0")
     if not 0 < coupling < math.inf:
         raise ValueError("coupling must be finite and > 0")
+    flag(skip_revival, "skip_revival")
     k_f = (1.0, 0.0, 0.0)
     pump = ModeLabel("w20f", omega_pump, k_f)
     plus = ModeLabel("w12p", omega_side, (0.0, 1.0, 0.0))
@@ -233,10 +234,11 @@ def one_photon_dissociation_scenario(outcome: int = 1, omega: float = 1.0,
     coupling into the B1 dissociative channel.  With drive=False the state
     stays frozen after the window preparation (no evolution without a drive).
     """
-    if outcome not in (1, 2, 3, 4):
-        raise ValueError("outcome must be 1..4")
+    if not (isinstance(outcome, int) and outcome in (1, 2, 3, 4)):
+        raise ValueError("outcome must be an integer in 1..4")
     if not 0 < coupling < math.inf:
         raise ValueError("coupling must be finite and > 0")
+    flag(drive, "drive")
     m = 5
     a0 = PartitionScheme("A0", (tuple(range(1, m + 1)),))
     b1 = PartitionScheme("B1", (tuple(range(1, m)), (m,)))

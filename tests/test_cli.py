@@ -271,6 +271,19 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
     _raw_script({"scenario": "lambda", "params": {"coupling": 0}}),
     _raw_script({"scenario": "halted_light", "params": {"coupling": 0}}),
     _raw_script({"scenario": "one_photon", "params": {"coupling": 0}}),
+    _one_step_script("laser_on", {"mode": "w", "couplings": [[0, 1, "0.2"]], "duration": 1.0}),
+    _secular_params({"couplings": [[1, 1, 0.5], [0, 1, 0.2], [1, 2, 0.2], [1, 3, 0.2]]}),
+    _basis_config(couplings=[{"from": [0, 0], "to": [1, 0], "value": "0.1"}]),
+    _basis_config(levels=[_LEVEL_0, {"j": 1, "energy": "1.0"}]),
+    _basis_config(modes=[{"id": "w", "omega": "1.0"}]),
+    _basis_config(modes=[{"id": "w", "omega": 1.0, "dir": ["1", "0", "0"]}]),
+    _decohere_at(["0", "5", "0"]),
+    _secular_params({"coupling": [[0, 1, 0.2]]}),
+    _basis_config(nmax=3),
+    _script(step=[{"kind": "wait", "params": {"duration": 1.0}}]),
+    _raw_script({"scenario": "halted_light", "params": {"skip_revival": "no"}}),
+    _raw_script({"scenario": "one_photon", "params": {"drive": "no"}}),
+    _raw_script({"scenario": "one_photon", "params": {"outcome": 1.0}}),
 ], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative",
         "expect-not-a-list", "wait-inf", "wait-nan", "laser-duration-nan",
         "laser-coupling-nan", "decohere-R-short", "decohere-R-long", "decohere-R-nan",
@@ -286,11 +299,38 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
         "block-float", "partition-ids-duplicate", "block-huge", "basis-size-cap",
         "absorb-string", "renormalize-string", "laser-mode-not-string", "models-value-nan",
         "models-pair-outside", "lambda-coupling-zero", "halted-light-coupling-zero",
-        "one-photon-coupling-zero"])
+        "one-photon-coupling-zero", "laser-coupling-string", "secular-coupling-diagonal",
+        "registry-coupling-string", "level-energy-string", "mode-omega-string",
+        "mode-dir-strings", "decohere-R-strings", "secular-unknown-key", "basis-unknown-key",
+        "script-unknown-key", "skip-revival-string", "drive-string", "outcome-float"])
 def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    _script(models={"coupling": [{"i": 0, "j": 1, "value": 0.2}]}, steps=[]),
+    _script(initial={"elemnt": 1}, steps=[]),
+], ids=["models-unknown-key", "initial-unknown-key"])
+def test_unknown_key_in_models_or_initial_exit_2(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, code", [
+    ([[0, 1, 0.2], [1, 2, 0.1, -0.3], [2, 1, 0.05]], 0),
+    ([[0, 1, "0.2"]], 2),
+    ([[1, 1, 0.2]], 2),
+    ([[0, 1]], 2),
+    ([[0, 1, [0.2, 0.1]]], 2),
+    ([[0, 1, 0.2, 0.1, 9]], 2),
+    ([[0, 1.0, 0.2]], 2),
+    ([[0, 1, float("nan")]], 2),
+], ids=["valid", "string-value", "diagonal", "short-row", "nested-value", "five-numbers", "float-index", "nan"])
+def test_laser_on_and_secular_read_coupling_rows_alike(rows, code, tmp_path):
+    laser_on = _one_step_script("laser_on", {"mode": "w", "couplings": rows, "duration": 1.0})
+    assert main(laser_on(tmp_path)) == main(_secular_params({"couplings": rows})(tmp_path)) == code
 
 
 def test_secular_nan_level_refused_at_entry(tmp_path, capsys):

@@ -95,6 +95,13 @@ class TestHamiltonian:
             with pytest.raises(ValueError, match="outside basis"):
                 build_hamiltonian(two_level, cm)
 
+    def test_zero_drive_outside_basis_rejected(self, two_level):
+        cm = CouplingModel(mode_couplings={(0, 5): 0.0})
+        with pytest.raises(ValueError, match="outside basis"):
+            build_hamiltonian(two_level, cm)
+        with pytest.raises(ValueError, match="outside basis"):
+            propagate(QState(two_level, [1.0, 0.0]), cm, 0.1)
+
     def test_registry_fourfold_levels(self):
         reg = Registry.from_dict({
             "levels": [{"j": 0, "k": 0, "energy": 0.0}, {"j": 1, "k": 0, "energy": 1.0}],

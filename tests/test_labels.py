@@ -11,6 +11,7 @@ from photonsim.labels import (
     PartitionScheme,
     Registry,
     RegistryError,
+    coupling_value,
     is_resonant,
     photonic_level,
 )
@@ -116,7 +117,6 @@ class TestCouplingModel:
         cm = CouplingModel()
         cm.set_transition(a, b, 0.1 + 0.2j)
         assert cm.transition(b, a) == (0.1 - 0.2j)
-        cm.check_hermitian()
 
     def test_absent_entry_is_zero(self):
         cm = CouplingModel()
@@ -138,6 +138,26 @@ class TestCouplingModel:
         cm = CouplingModel()
         with pytest.raises(ValueError):
             cm.set_drive(2, 2, 1.0)
+
+    def test_from_rows_last_row_of_a_pair_wins(self):
+        cm = CouplingModel.from_rows([[0, 1, 0.1], [1, 0, 0.2, 0.3], [0, 1, 0.4]])
+        assert cm.drive(0, 1) == 0.4 and cm.drive(1, 0) == 0.4
+        assert cm == CouplingModel(mode_couplings={(1, 0): 0.4})
+        assert cm != CouplingModel(mode_couplings={(0, 1): 0.2 - 0.3j})
+
+
+class TestCouplingValue:
+    @pytest.mark.parametrize("value, expected", [
+        (0.2, 0.2), (3, 3.0), ([0.1, -0.2], 0.1 - 0.2j), ((0, 1), 1j), (0.1 + 0.2j, 0.1 + 0.2j)])
+    def test_accepted(self, value, expected):
+        assert coupling_value(value) == expected
+
+    @pytest.mark.parametrize("value", [
+        "0.2", "0.2+0.1j", ["0.1", 0], True, None, [0.1], [0.1, 0.2, 0.3], math.nan,
+        complex(0.1, math.inf), 10 ** 400])
+    def test_refused(self, value):
+        with pytest.raises(RegistryError, match="finite number"):
+            coupling_value(value)
 
 
 class TestRegistry:

@@ -77,7 +77,7 @@ def test_from_dict_matches_constructor(row, step):
     ({"kind": "erase", "params": {"indices": [1], "mode": "w"}}, "unexpected keyword"),
     ({"kind": "induce", "params": {"pairs": [[0, 1.0]]}}, "integer"),
     ({"kind": "laser_on", "params": {"mode": "w", "couplings": [[0, 1]], "duration": 1}},
-     "not enough values"),
+     r"must be \[i, j, re\] or \[i, j, re, im\]"),
     ({"kind": "teleport"}, "unknown kind 'teleport'"),
 ], ids=["row-not-object", "params-not-object", "constructor-argument-name", "unknown-key",
         "float-index", "coupling-without-value", "unknown-kind"])
