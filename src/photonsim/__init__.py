@@ -23,7 +23,6 @@ from .basis import (
     SINGLE_PARTITE,
     Basis,
     BasisElement,
-    canonical_index,
     element_level,
     enumerate_basis,
     fourfold_manifold,

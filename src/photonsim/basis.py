@@ -27,7 +27,6 @@ __all__ = [
     "element_level",
     "fourfold_manifold",
     "enumerate_basis",
-    "canonical_index",
     "MAX_BASIS_SIZE",
 ]
 
@@ -37,9 +36,10 @@ Guise = Literal["product", "entangled"]
 
 _GUISE_RANK = {PRODUCT: 0, ENTANGLED: 1}
 
-# The most elements ``enumerate_basis`` builds; it refuses a larger basis
-# before allocating any.  Building one peaks at about 1 kB per element
-# (measured at 21,168 elements), so a basis at the cap takes about 1 GB.
+# The most elements ``enumerate_basis`` or ``attosecond_init`` builds, and the
+# most samples ``double_slit_pattern`` computes; a larger request is refused
+# before anything is allocated.  Building a basis peaks at about 1 kB per
+# element (measured at 21,168 elements), so a basis at the cap takes about 1 GB.
 MAX_BASIS_SIZE = 10**6
 
 # Trivial one-constituent partition used by single-system examples.
@@ -144,9 +144,6 @@ class Basis:
     def __eq__(self, other) -> bool:
         return isinstance(other, Basis) and self._elements == other._elements
 
-    def __hash__(self):
-        return hash(self._elements)
-
     @property
     def elements(self) -> tuple[BasisElement, ...]:
         return self._elements
@@ -191,11 +188,6 @@ class Basis:
             sort_keys=True,
             separators=(",", ":"),
         )
-
-
-def canonical_index(b: Basis, e: BasisElement) -> int:
-    """Stable zero-based index of an element; inverse of ``element_at``."""
-    return b.index(e)
 
 
 def enumerate_basis(

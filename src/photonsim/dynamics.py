@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis
+from .basis import MAX_BASIS_SIZE, Basis
 from .labels import CouplingModel
 from .qstate import QState
 
@@ -213,8 +213,8 @@ def double_slit_pattern(C1: complex, C2: complex, d: float, L: float,
         raise ValueError("|C1|^2 + |C2|^2 must be 1")
     if not all(0 < v < np.inf for v in (d, L, kappa)):
         raise ValueError("geometry parameters must be finite and positive")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= samples <= MAX_BASIS_SIZE:
+        raise ValueError(f"samples must be from 1 to {MAX_BASIS_SIZE}")
     half = fringe_half_width(d, L, kappa)
     x = np.linspace(-half, half, samples)
     r1 = np.sqrt(L * L + (x - d / 2.0) ** 2)

@@ -12,7 +12,6 @@ deterministic (advance the clock by the scripted duration) and stochastic
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -114,9 +113,7 @@ class ProtocolStep:
         """Coupling rows as read by ``CouplingModel.from_rows``."""
         if not isinstance(mode_id, str):
             raise ProtocolError("mode must be a mode id")
-        if not math.isfinite(duration):
-            raise ProtocolError("duration must be finite")
-        if duration < 0:
+        if finite(duration, "duration") < 0:
             raise ProtocolError("duration must be non-negative")
         return cls("laser_on", {
             "mode": mode_id,
@@ -129,13 +126,9 @@ class ProtocolStep:
     def wait(cls, duration: float | None = None, rate: float | None = None, annotation: str = ""):
         if duration is None and rate is None:
             raise ProtocolError("wait needs a duration or a lifetime rate")
-        if duration is not None and not math.isfinite(duration):
-            raise ProtocolError("duration must be finite")
-        if duration is not None and duration < 0:
+        if duration is not None and finite(duration, "duration") < 0:
             raise ProtocolError("duration must be non-negative")
-        if rate is not None and not math.isfinite(rate):
-            raise ProtocolError("lifetime rate must be finite")
-        if rate is not None and rate <= 0:
+        if rate is not None and finite(rate, "rate") <= 0:
             raise ProtocolError("lifetime rate must be positive")
         return cls("wait", {"duration": duration, "rate": rate}, annotation)
 
@@ -180,9 +173,6 @@ class Trace:
 
     def __len__(self):
         return len(self.entries)
-
-    def __getitem__(self, i) -> TraceEntry:
-        return self.entries[i]
 
     @property
     def final(self) -> TraceEntry:

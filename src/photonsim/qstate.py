@@ -72,11 +72,6 @@ class EmissionRecord:
     source_index: int
     target_index: int
 
-    def phase_factor(self) -> complex:
-        """exp(i k . R) at the detection location, with |k| = omega."""
-        k = self.mode.momentum
-        return complex(np.exp(1j * sum(ki * ri for ki, ri in zip(k, self.location_R))))
-
 
 def window_state(b: Basis, e: BasisElement, time_tag: float = 0.0) -> QState:
     """Unit amplitude on a single element; the opening-channel preparation."""

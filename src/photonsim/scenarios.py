@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import ENTANGLED, PRODUCT, SINGLE_PARTITE, Basis, BasisElement
-from .labels import ENLabel, FockLabel, ModeLabel, PartitionScheme, Registry, flag
+from .basis import ENTANGLED, MAX_BASIS_SIZE, PRODUCT, SINGLE_PARTITE, Basis, BasisElement
+from .labels import ENLabel, FockLabel, ModeLabel, PartitionScheme, Registry, finite, flag
 from .protocol import ProtocolStep
 from .qstate import QState
 
@@ -55,10 +55,10 @@ def lambda_scenario(omega_10: float = 1.0, omega_20: float = 0.6,
     induced transition to the emission root -> spontaneous emission detached
     as an emission record.  The lower j0-j2 transition is dark.
     """
-    if not (omega_10 > omega_20 > 0):
+    if not finite(omega_10, "omega_10") > finite(omega_20, "omega_20") > 0:
         raise ValueError("need omega_10 > omega_20 > 0")
-    if not 0 < coupling < math.inf:
-        raise ValueError("coupling must be finite and > 0")
+    if finite(coupling, "coupling") <= 0:
+        raise ValueError("coupling must be > 0")
     omega_12 = omega_10 - omega_20
     k_f = (1.0, 0.0, 0.0)
     k_perp = (0.0, 1.0, 0.0)
@@ -138,10 +138,10 @@ def halted_light_scenario(omega_pump: float = 1.0, omega_side: float = 0.4,
     zero.  The difference-frequency virtual mode is kept in the basis as pure
     bookkeeping; it never acquires amplitude.
     """
-    if not (omega_pump > omega_side > 0):
+    if not finite(omega_pump, "omega_pump") > finite(omega_side, "omega_side") > 0:
         raise ValueError("need omega_pump > omega_side > 0")
-    if not 0 < coupling < math.inf:
-        raise ValueError("coupling must be finite and > 0")
+    if finite(coupling, "coupling") <= 0:
+        raise ValueError("coupling must be > 0")
     flag(skip_revival, "skip_revival")
     k_f = (1.0, 0.0, 0.0)
     pump = ModeLabel("w20f", omega_pump, k_f)
@@ -234,18 +234,18 @@ def one_photon_dissociation_scenario(outcome: int = 1, omega: float = 1.0,
     coupling into the B1 dissociative channel.  With drive=False the state
     stays frozen after the window preparation (no evolution without a drive).
     """
-    if not (isinstance(outcome, int) and outcome in (1, 2, 3, 4)):
+    if type(outcome) is not int or outcome not in (1, 2, 3, 4):
         raise ValueError("outcome must be an integer in 1..4")
-    if not 0 < coupling < math.inf:
-        raise ValueError("coupling must be finite and > 0")
+    if finite(coupling, "coupling") <= 0:
+        raise ValueError("coupling must be > 0")
     flag(drive, "drive")
     m = 5
     a0 = PartitionScheme("A0", (tuple(range(1, m + 1)),))
     b1 = PartitionScheme("B1", (tuple(range(1, m)), (m,)))
     b2 = PartitionScheme("B2", ((1,), tuple(range(2, m + 1))))
 
-    w = ModeLabel("w", omega, (1.0, 0.0, 0.0))
-    w00 = ModeLabel("w00", omega_00, (0.0, 0.0, 1.0))
+    w = ModeLabel("w", finite(omega, "omega"), (1.0, 0.0, 0.0))
+    w00 = ModeLabel("w00", finite(omega_00, "omega_00"), (0.0, 0.0, 1.0))
 
     ground = ENLabel(0, 0, 0.0)
     chrom = ENLabel(1, 0, omega)
@@ -334,20 +334,22 @@ def attosecond_init(center: float, width: float, spacing: float,
     n_harmonics is the total (odd) comb size; the comb is omega_n = center +
     n*spacing for n in [-(h-1)/2 .. +(h-1)/2].
     """
-    if not 0 < width < math.inf:
-        raise ValueError("width must be finite and positive")
+    if finite(width, "width") <= 0 or width * width == 0:
+        raise ValueError("width must be > 0, with a square that does not underflow to 0")
     if n_harmonics < 1 or n_harmonics % 2 == 0:
         raise ValueError("n_harmonics must be a positive odd count")
-    if width >= center / 10.0:
-        warnings.warn("comb width is not small against the center frequency",
-                      stacklevel=2)
     half = (n_harmonics - 1) // 2
     if spacing < 0 or center - half * spacing <= 0:
         raise ValueError("comb extends to non-positive frequencies")
-
     levels = sorted(registry.levels)
     if not levels:
         raise ValueError("registry has no EN levels")
+    if n_harmonics + len(levels) - 1 > MAX_BASIS_SIZE:
+        raise ValueError(f"comb basis would have more than {MAX_BASIS_SIZE} elements")
+    if width >= center / 10.0:
+        warnings.warn("comb width is not small against the center frequency",
+                      stacklevel=2)
+
     root = registry.levels[levels[0]]
     excited = [registry.levels[k] for k in levels[1:]]
 

@@ -10,7 +10,6 @@ from photonsim.basis import (
     SINGLE_PARTITE,
     Basis,
     BasisElement,
-    canonical_index,
     element_level,
     enumerate_basis,
     fourfold_manifold,
@@ -71,6 +70,13 @@ class TestBasisElement:
         b = BasisElement(SINGLE_PARTITE, (ENLabel(0, 0, 0.0),), ((FockLabel(m, 1), PRODUCT),))
         c = BasisElement(SINGLE_PARTITE, (ENLabel(0, 0, 0.0),), ((FockLabel(m, 1), ENTANGLED),))
         assert a == b and a != c
+
+    def test_unknown_guise_and_phase_dir_rejected(self):
+        photon = ((FockLabel(ModeLabel("w", 1.0), 1), "bound"),)
+        with pytest.raises(ValueError, match="unknown guise 'bound'"):
+            BasisElement(SINGLE_PARTITE, (ENLabel(0, 0, 0.0),), photon)
+        with pytest.raises(ValueError, match="phase_dir"):
+            BasisElement(SINGLE_PARTITE, (ENLabel(0, 0, 0.0),), phase_dir=2)
 
 
 class TestEnumerateBasis:
@@ -164,8 +170,12 @@ class TestCanonicalOrder:
         b = enumerate_basis(pair_registry, [SINGLE_PARTITE],
                             [pair_registry.mode("w")], n_max=1)
         for i, e in enumerate(b):
-            assert canonical_index(b, e) == i
+            assert b.index(e) == i
             assert b.element_at(i) == e
+
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            Basis([])
 
     def test_element_at_never_wraps(self, pair_registry):
         b = enumerate_basis(pair_registry, [SINGLE_PARTITE],
@@ -178,7 +188,7 @@ class TestCanonicalOrder:
         b = enumerate_basis(pair_registry, [SINGLE_PARTITE], [], n_max=0)
         stranger = BasisElement(SINGLE_PARTITE, (ENLabel(9, 0, 9.0),))
         with pytest.raises(KeyError):
-            canonical_index(b, stranger)
+            b.index(stranger)
 
     def test_order_independent_of_construction(self, pair_registry):
         b = enumerate_basis(pair_registry, [SINGLE_PARTITE],

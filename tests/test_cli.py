@@ -284,6 +284,15 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
     _raw_script({"scenario": "halted_light", "params": {"skip_revival": "no"}}),
     _raw_script({"scenario": "one_photon", "params": {"drive": "no"}}),
     _raw_script({"scenario": "one_photon", "params": {"outcome": 1.0}}),
+    _raw_script({"scenario": "one_photon", "params": {"outcome": True}}),
+    lambda tmp_path: ["atto", "--harmonics", "1000001", "--spacing", "0"],
+    lambda tmp_path: ["slits", "--samples", "1000001"],
+    lambda tmp_path: ["slits", "--samples", "0"],
+    lambda tmp_path: ["atto", "--width", "1e-200"],
+    _one_step_script("wait", {"duration": -1.0}),
+    _basis_config(modes=[{"id": "w", "omega": 1.0}, {"id": "w", "omega": 2.0}]),
+    _basis_config(levels=[]),
+    _raw_script({"scenario": "halted_light", "params": {"omega_side": 2.0}}),
 ], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative",
         "expect-not-a-list", "wait-inf", "wait-nan", "laser-duration-nan",
         "laser-coupling-nan", "decohere-R-short", "decohere-R-long", "decohere-R-nan",
@@ -302,7 +311,10 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
         "one-photon-coupling-zero", "laser-coupling-string", "secular-coupling-diagonal",
         "registry-coupling-string", "level-energy-string", "mode-omega-string",
         "mode-dir-strings", "decohere-R-strings", "secular-unknown-key", "basis-unknown-key",
-        "script-unknown-key", "skip-revival-string", "drive-string", "outcome-float"])
+        "script-unknown-key", "skip-revival-string", "drive-string", "outcome-float",
+        "outcome-true", "atto-harmonics-cap", "slits-samples-cap", "slits-samples-zero",
+        "atto-width-square-underflow", "wait-duration-negative", "mode-id-duplicate",
+        "levels-empty", "halted-light-omega-order"])
 def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err.splitlines()
@@ -333,6 +345,24 @@ def test_laser_on_and_secular_read_coupling_rows_alike(rows, code, tmp_path):
     assert main(laser_on(tmp_path)) == main(_secular_params({"couplings": rows})(tmp_path)) == code
 
 
+@pytest.mark.parametrize("argv, field", [
+    (_one_step_script("wait", {"duration": True}), "duration"),
+    (_one_step_script("wait", {"rate": True}), "rate"),
+    (_one_step_script("laser_on", {"mode": "w", "couplings": [], "duration": True}), "duration"),
+    (_raw_script({"scenario": "lambda", "params": {"coupling": True}}), "coupling"),
+    (_raw_script({"scenario": "lambda", "params": {"omega_10": True}}), "omega_10"),
+    (_raw_script({"scenario": "halted_light", "params": {"omega_pump": True}}), "omega_pump"),
+    (_raw_script({"scenario": "one_photon", "params": {"omega": "1"}}), "omega"),
+    (_raw_script({"scenario": "one_photon", "params": {"outcome": True}}), "outcome"),
+], ids=["wait-duration-true", "wait-rate-true", "laser-duration-true", "lambda-coupling-true",
+        "lambda-omega-10-true", "halted-light-omega-pump-true", "one-photon-omega-string",
+        "one-photon-outcome-true"])
+def test_number_that_is_not_a_number_exit_2_naming_its_field(argv, field, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"{field} must be" in err[0]
+
+
 def test_secular_nan_level_refused_at_entry(tmp_path, capsys):
     assert main(_secular_params({"levels": [0.0, float("nan"), 9.5, 7.0]})(tmp_path)) == 2
     assert capsys.readouterr().err == "error: levels[1] must be a finite number, got nan\n"
@@ -343,6 +373,18 @@ def test_laser_on_mode_outside_basis_exit_3(tmp_path, capsys):
                                          "duration": 1.0})(tmp_path)
     assert main(argv) == 3
     assert capsys.readouterr().err == "error: step 1 (laser_on): mode 'ghost' not present in basis\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_one_step_script("induce", {"pairs": [[0, 8]]}),
+     "step 1 (induce): induce pair (0,8) out of range"),
+    (_script(initial={"element": 2}, steps=[{"kind": "decohere", "params": {"emit": 2, "target": 0}}]),
+     "step 1 (decohere): target must differ from the emitter by exactly one photon; "
+     "mode 'w' goes 0 -> 1"),
+], ids=["induce-pair-outside", "decohere-photon-gained"])
+def test_step_failure_exit_3_with_its_reason(argv, message, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -380,7 +422,7 @@ _JUNK = st.sampled_from([None, 5, "w", [], {}, [1, 2], math.nan])
 _INDEX = _mostly(st.integers(0, 7), st.integers(-3, 12),
                  st.sampled_from([1.0, 1.7, "1", None, True, 10 ** 30]))
 _NUMBER = _mostly(st.floats(0, 3), st.floats(-5, 5),
-                  st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, "0.5", None, [], {}]))
+                  st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, "0.5", None, [], {}, True]))
 _COUPLING = _mostly(st.tuples(_INDEX, _INDEX, _NUMBER).map(list),
                     st.tuples(_INDEX, _INDEX, _NUMBER, _NUMBER).map(list),
                     st.lists(_INDEX, max_size=5), _JUNK)
@@ -445,20 +487,25 @@ def test_run_keeps_exit_code_contract(script):
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def _exit_code(argv, payload):
-    """Exit code of ``main(argv + [file holding payload])``; an exit 2 must
-    print exactly one ``error:`` line."""
+def _exit_code_of(argv):
+    """Exit code of ``main(argv)``; an exit 2 must print exactly one
+    ``error:`` line."""
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "in.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + [path])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
     return code
+
+
+def _exit_code(argv, payload):
+    """Exit code of ``main(argv + [file holding payload])``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        return _exit_code_of(argv + [path])
 
 
 # Registry configs of at most 768 elements when well-formed; an n_max of
@@ -507,6 +554,56 @@ _SECULAR_PARAMS = _mostly(st.fixed_dictionaries({}, optional={
        anchor=_mostly(st.just([]), st.integers(-1, 5).map(lambda k: ["--anchor-index", str(k)])))
 def test_secular_keeps_exit_code_contract(params, anchor):
     assert _exit_code(["secular", *anchor], params) in (0, 2)
+
+
+_SCENARIO_PARAMS = {
+    "lambda": {"omega_10": _NUMBER, "omega_20": _NUMBER, "coupling": _NUMBER},
+    "halted_light": {"omega_pump": _NUMBER, "omega_side": _NUMBER, "coupling": _NUMBER,
+                     "skip_revival": _mostly(st.booleans(), _NUMBER)},
+    "one_photon": {"outcome": _mostly(st.integers(1, 4), _NUMBER), "omega": _NUMBER,
+                   "omega_00": _NUMBER, "coupling": _NUMBER,
+                   "drive": _mostly(st.booleans(), _NUMBER)},
+}
+_SCENARIO_SCRIPTS = st.sampled_from(sorted(_SCENARIO_PARAMS)).flatmap(
+    lambda name: st.fixed_dictionaries({
+        "scenario": st.just(name),
+        "params": st.fixed_dictionaries({}, optional=_SCENARIO_PARAMS[name])}))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(script=_SCENARIO_SCRIPTS)
+def test_scenario_params_keep_exit_code_contract(script):
+    assert _exit_code(["run"], script) in (0, 1, 2, 3)
+
+
+# Option values as the command line gives them: the numbers of _NUMBER as
+# text.  Sizes stay small, or are above MAX_BASIS_SIZE and refused unbuilt.
+_ARG = _NUMBER.filter(lambda v: type(v) in (int, float, str)).map(str)
+_UNIT_PAIR = st.floats(0, 2 * math.pi).map(
+    lambda t: {"c1": repr(math.cos(t)), "c2": repr(math.sin(t))})
+
+
+def _options(values):
+    return [f"--{k}={v}" for k, v in sorted(values.items())]
+
+
+_ATTO_ARGV = st.fixed_dictionaries({}, optional={
+    "center": _ARG, "width": _ARG, "spacing": _ARG,
+    "harmonics": _mostly(st.integers(1, 41), st.sampled_from([-1, 0, 2, 1000001])).map(str),
+}).map(lambda opts: ["atto", *_options(opts)])
+_SLITS_ARGV = st.tuples(
+    _mostly(_UNIT_PAIR, st.fixed_dictionaries({}, optional={"c1": _ARG, "c2": _ARG})),
+    st.fixed_dictionaries({}, optional={
+        "d": _ARG, "L": _ARG, "kappa": _ARG,
+        "samples": _mostly(st.integers(1, 2001), st.sampled_from([-5, 0, 1000001])).map(str)}),
+).map(lambda pair: ["slits", *_options({**pair[0], **pair[1]})])
+
+
+@pytest.mark.filterwarnings("ignore:comb width is not small")
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(argv=st.one_of(_ATTO_ARGV, _SLITS_ARGV))
+def test_atto_and_slits_keep_exit_code_contract(argv):
+    assert _exit_code_of(argv) in (0, 2)
 
 
 class TestSpinCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import photonsim.dynamics as dynamics_module
 from photonsim.basis import SINGLE_PARTITE, Basis, BasisElement, enumerate_basis
 from photonsim.dynamics import (
     Hamiltonian,
@@ -145,6 +146,12 @@ class TestPropagate:
         with pytest.raises(ValueError, match="different bases"):
             propagate(s, build_hamiltonian(two_level, CouplingModel()), 0.1)
 
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_non_finite_dt_rejected(self, two_level, dt):
+        s = window_state(two_level, two_level.element_at(0))
+        with pytest.raises(ValueError, match="dt must be finite"):
+            propagate(s, CouplingModel(mode_couplings={(0, 1): 0.2}), dt)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_taylor_series(self, seed, two_level):
         rng = np.random.default_rng(seed)
@@ -253,6 +260,10 @@ class TestDoubleSlit:
     def test_visibility_single_path(self):
         assert visibility(1.0, 0.0) == 0.0
 
+    def test_visibility_of_no_light_rejected(self):
+        with pytest.raises(ValueError, match="both amplitudes are zero"):
+            visibility(0.0, 0.0)
+
     def test_visibility_phase_independent(self):
         assert visibility(0.6 * np.exp(2j), 0.8) == pytest.approx(visibility(0.6, 0.8))
 
@@ -283,3 +294,10 @@ class TestDoubleSlit:
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(ValueError, match="must be 1"):
             double_slit_pattern(1.0, 1.0, d=5.0, L=100.0, kappa=2.0, samples=11)
+
+    def test_sample_count_cap_is_exact(self, monkeypatch):
+        monkeypatch.setattr(dynamics_module, "MAX_BASIS_SIZE", 11)
+        assert len(double_slit_pattern(1.0, 0.0, d=5.0, L=100.0, kappa=2.0, samples=11)[0]) == 11
+        for samples in (0, 12):
+            with pytest.raises(ValueError, match="samples must be from 1 to 11"):
+                double_slit_pattern(1.0, 0.0, d=5.0, L=100.0, kappa=2.0, samples=samples)

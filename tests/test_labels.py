@@ -86,6 +86,10 @@ class TestPhotonicLevel:
         with pytest.raises(ValueError):
             photonic_level(en(0, 0, 0.0), [FockLabel(m, 1), FockLabel(m, 0)])
 
+    def test_non_finite_energy_rejected(self):
+        with pytest.raises(ValueError, match="energy must be finite"):
+            en(0, 0, math.nan)
+
     @given(st.integers(min_value=0, max_value=20),
            st.floats(min_value=0.01, max_value=50.0),
            st.floats(min_value=-10.0, max_value=10.0))
@@ -145,6 +149,9 @@ class TestCouplingModel:
         assert cm == CouplingModel(mode_couplings={(1, 0): 0.4})
         assert cm != CouplingModel(mode_couplings={(0, 1): 0.2 - 0.3j})
 
+    def test_never_equal_to_another_type(self):
+        assert CouplingModel() != {}
+
 
 class TestCouplingValue:
     @pytest.mark.parametrize("value, expected", [
@@ -194,3 +201,7 @@ class TestRegistry:
                            {"j": 0, "k": 0, "energy": 1.0}]}
         with pytest.raises(RegistryError, match="duplicate"):
             Registry.from_dict(data)
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(RegistryError, match="config must be an object"):
+            Registry.from_dict([{"j": 0, "energy": 0.0}])

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import photonsim.scenarios as scenarios_module
 from photonsim.basis import SINGLE_PARTITE, Basis, BasisElement, enumerate_basis
 from photonsim.dynamics import build_hamiltonian, propagate
-from photonsim.labels import CouplingModel, ENLabel, PartitionScheme, Registry
+from photonsim.labels import CouplingModel, ENLabel, PartitionScheme, Registry, RegistryError
 from photonsim.protocol import (
     ProtocolError,
     ProtocolStep,
@@ -48,7 +50,7 @@ class TestSteps:
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_wait_rate_must_be_finite(self, rate):
-        with pytest.raises(ProtocolError, match="finite"):
+        with pytest.raises(RegistryError, match="finite"):
             ProtocolStep.wait(rate=rate)
 
 
@@ -379,6 +381,28 @@ class TestAttosecondInit:
     def test_nonpositive_frequency_rejected(self, atto_registry):
         with pytest.raises(ValueError):
             attosecond_init(50.0, 1.0, 30.0, 5, atto_registry)
+
+    def test_refused_comb_gives_no_warning(self, atto_registry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-positive"):
+                attosecond_init(50.0, 10.0, 30.0, 5, atto_registry)
+
+    def test_width_whose_square_underflows_rejected(self, atto_registry):
+        with pytest.raises(ValueError, match="underflow"):
+            attosecond_init(50.0, 1e-200, 1.0, 3, atto_registry)
+
+    def test_registry_without_levels_rejected(self):
+        with pytest.raises(ValueError, match="no EN levels"):
+            attosecond_init(50.0, 1.0, 1.0, 3, Registry())
+
+    def test_size_cap_is_exact(self, atto_registry, monkeypatch):
+        # 5 comb elements and 2 excited channels
+        monkeypatch.setattr(scenarios_module, "MAX_BASIS_SIZE", 7)
+        assert len(attosecond_init(50.0, 1.0, 1.0, 5, atto_registry).basis) == 7
+        monkeypatch.setattr(scenarios_module, "MAX_BASIS_SIZE", 6)
+        with pytest.raises(ValueError, match="more than 6 elements"):
+            attosecond_init(50.0, 1.0, 1.0, 5, atto_registry)
 
 
 class TestMomentumLedger:

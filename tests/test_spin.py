@@ -43,6 +43,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="normalized"):
             SpinSpaceFunction(np.array([1.0, 1.0, 0, 0]), np.array([1.0, 0.0]))
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="4-dim"):
+            SpinSpaceFunction(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
     def test_pretty_singlet(self):
         assert singlet().pretty() == "(ab - ba)/sqrt2 x (P1 + P2)/sqrt2"
 
