@@ -14,8 +14,6 @@ from .labels import (
     PartitionScheme,
     Registry,
     RegistryError,
-    is_resonant,
-    photonic_level,
 )
 from .basis import (
     ENTANGLED,
@@ -25,13 +23,11 @@ from .basis import (
     BasisElement,
     element_level,
     enumerate_basis,
-    fourfold_manifold,
 )
 from .qstate import EmissionRecord, QState, decohere, erase, support, window_state
 from .dynamics import (
     Hamiltonian,
     SecularSolution,
-    build_hamiltonian,
     double_slit_pattern,
     perturbative_amplitudes,
     propagate,

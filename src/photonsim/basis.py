@@ -1,5 +1,5 @@
-"""Photonic basis construction: fourfold manifolds, multipartite enumeration,
-canonical ordering and deterministic serialization.
+"""Photonic basis construction: multipartite enumeration, canonical ordering
+and deterministic serialization.
 
 A basis element pairs a partitioned electronuclear part with per-mode photon
 occupations, each mode carried either as a direct product factor or entangled
@@ -25,7 +25,6 @@ __all__ = [
     "Basis",
     "SINGLE_PARTITE",
     "element_level",
-    "fourfold_manifold",
     "enumerate_basis",
     "MAX_BASIS_SIZE",
 ]
@@ -96,24 +95,6 @@ class BasisElement:
 def element_level(e: BasisElement) -> float:
     """Photonic energy level: sum of block EN energies plus n*omega per mode."""
     return sum(l.energy for l in e.en_labels) + sum(f.energy for f, _ in e.photon_part)
-
-
-def fourfold_manifold(root: ENLabel, excited: ENLabel, m: ModeLabel) -> list[BasisElement]:
-    """The four base elements generated by one EN pair and one mode:
-    root with the quantum available (product), root entangled, excited with
-    the colored vacuum (product), excited entangled.  Resonance is not
-    required; off-resonant manifolds are legal.
-    """
-    if root == excited:
-        raise ValueError("root and excited labels must differ")
-    one = FockLabel(m, 1)
-    vac = FockLabel(m, 0)
-    return [
-        BasisElement(SINGLE_PARTITE, (root,), ((one, PRODUCT),)),
-        BasisElement(SINGLE_PARTITE, (root,), ((one, ENTANGLED),)),
-        BasisElement(SINGLE_PARTITE, (excited,), ((vac, PRODUCT),)),
-        BasisElement(SINGLE_PARTITE, (excited,), ((vac, ENTANGLED),)),
-    ]
 
 
 class Basis:

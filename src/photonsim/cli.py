@@ -98,7 +98,7 @@ _SCENARIOS = {
 }
 
 
-def _templates_from_json(rows) -> list[frozenset[int]]:
+def _read_templates(rows) -> list[frozenset[int]]:
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and all(type(i) is int for i in row) for row in rows)):
         raise RegistryError("templates must be a list of lists of basis indices")
@@ -141,7 +141,7 @@ def cmd_run(args) -> int:
                 steps.append(ProtocolStep.from_dict(row))
         templates = None
     if args.expect:
-        templates = _templates_from_json(load_json(_resolve(args.expect)))
+        templates = _read_templates(load_json(_resolve(args.expect)))
 
     trace = run(initial, steps, models=models, seed=seed, mode=mode)
     _write_out(trace.to_csv(), args.out)
@@ -220,13 +220,16 @@ def cmd_spin(args) -> int:
 
 
 def cmd_atto(args) -> int:
+    # The excited levels are built from --center and --spacing, so those are
+    # read first: a non-finite one is named, not the level it would make.
+    center, spacing = finite(args.center, "center"), finite(args.spacing, "spacing")
     reg = Registry.from_dict({
         "levels": [{"j": 0, "k": 0, "energy": 0.0}] + [
-            {"j": 1, "k": k, "energy": args.center + (k - 2) * args.spacing}
+            {"j": 1, "k": k, "energy": center + (k - 2) * spacing}
             for k in range(5)
         ],
     })
-    state = scenarios.attosecond_init(args.center, args.width, args.spacing, args.harmonics, reg)
+    state = scenarios.attosecond_init(center, args.width, spacing, args.harmonics, reg)
     lines = ["basis_index,re,im"]
     for i, a in enumerate(state.amps):
         lines.append(f"{i},{_G(a.real)},{_G(a.imag)}")

@@ -12,6 +12,8 @@ so a step costs O(n + k^3) for k coupled elements and no n x n matrix exists.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,6 @@ from .qstate import QState
 __all__ = [
     "Hamiltonian",
     "SecularSolution",
-    "build_hamiltonian",
     "hamiltonian_matrix",
     "propagate",
     "solve_secular",
@@ -72,11 +73,6 @@ class SecularSolution:
         return self.eigenvectors[:, self.root_index]
 
 
-def build_hamiltonian(b: Basis, cm: CouplingModel) -> Hamiltonian:
-    """Diagonal from photonic levels, off-diagonal from drive couplings."""
-    return Hamiltonian(b, hamiltonian_matrix(b.levels(), cm))
-
-
 def hamiltonian_matrix(levels: np.ndarray, cm: CouplingModel) -> np.ndarray:
     """The dense matrix diag(levels) plus the drive terms of ``cm``."""
     coupled, block = _drive_block(levels, cm)
@@ -106,13 +102,12 @@ def _drive_block(levels: np.ndarray, cm: CouplingModel) -> tuple[np.ndarray, np.
         if not (0 <= i < len(levels) and 0 <= j < len(levels)):
             raise ValueError(f"drive coupling ({i},{j}) outside basis of size {len(levels)}")
     terms = [(i, j, v) for i, j in pairs if (v := cm.drive(i, j)) != 0]
-    coupled = np.array(sorted({k for i, j, _ in terms for k in (i, j)}), dtype=np.intp)
-    at = {g: k for k, g in enumerate(coupled.tolist())}
+    coupled = sorted({k for i, j, _ in terms for k in (i, j)})
     block = np.diag(levels[coupled].astype(np.complex128))
     for i, j, v in terms:
-        block[at[i], at[j]] = v
-        block[at[j], at[i]] = v.conjugate()
-    return coupled, block
+        a, b = bisect_left(coupled, i), bisect_left(coupled, j)
+        block[a, b], block[b, a] = v, v.conjugate()
+    return np.array(coupled, dtype=np.intp), block
 
 
 def propagate(s: QState, H: Hamiltonian | CouplingModel, dt: float) -> QState:
@@ -207,15 +202,23 @@ def double_slit_pattern(C1: complex, C2: complex, d: float, L: float,
     |C1 exp(i kappa r1) + C2 exp(i kappa r2)|^2, r1/r2 the exact path lengths
     from the two slits.  The window spans the central fringe between the
     first-order minima, so with an odd sample count the grid hits the exact
-    maximum (x = 0) and minima (endpoints).
+    maximum (x = 0) and minima (endpoints).  A geometry whose half-width,
+    path lengths or phases kappa*r are not finite floats is refused.
     """
-    if not abs((abs(C1) ** 2 + abs(C2) ** 2) - 1.0) <= norm_tol:
+    if not abs((abs(C1) * abs(C1) + abs(C2) * abs(C2)) - 1.0) <= norm_tol:
         raise ValueError("|C1|^2 + |C2|^2 must be 1")
     if not all(0 < v < np.inf for v in (d, L, kappa)):
         raise ValueError("geometry parameters must be finite and positive")
     if not 1 <= samples <= MAX_BASIS_SIZE:
         raise ValueError(f"samples must be from 1 to {MAX_BASIS_SIZE}")
-    half = fringe_half_width(d, L, kappa)
+    try:  # the largest phase on the window, at either end
+        half = fringe_half_width(d, L, kappa)
+        phase = kappa * math.sqrt(L * L + (half + d / 2.0) ** 2)
+    except ArithmeticError:
+        phase = math.inf
+    if not math.isfinite(phase):
+        raise ValueError(f"geometry d={d:g}, L={L:g}, kappa={kappa:g} out of range: its "
+                         "half-width, path lengths or phases kappa*r are not finite")
     x = np.linspace(-half, half, samples)
     r1 = np.sqrt(L * L + (x - d / 2.0) ** 2)
     r2 = np.sqrt(L * L + (x + d / 2.0) ** 2)

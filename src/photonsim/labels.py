@@ -1,5 +1,5 @@
 """Label algebra: radiation modes, photon occupations, electronuclear levels,
-partition schemes and coupling tables.
+partition schemes, drive couplings and the level registry.
 
 Everything here is a frozen value type with no dynamics.  hbar = 1 throughout,
 so mode frequencies are energies and a mode's momentum vector is its frequency
@@ -14,7 +14,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "DEFAULT_RESONANCE_TOL",
@@ -28,10 +28,8 @@ __all__ = [
     "coupling_value",
     "finite",
     "flag",
-    "is_resonant",
     "json_rows",
     "load_json",
-    "photonic_level",
     "reading",
 ]
 
@@ -142,22 +140,12 @@ class PartitionScheme:
         return len(self.blocks)
 
 
-def _pair_key(a: ENLabel, b: ENLabel) -> tuple:
-    return (a.key, b.key)
-
-
 class CouplingModel:
-    """Hermitian table of transition integrals between EN labels plus
-    externally driven couplings between basis elements (by index pair).
+    """Externally driven couplings between basis elements, by index pair,
+    kept Hermitian.  Absent entries mean zero (dark transitions)."""
 
-    Absent entries mean zero (dark transitions).
-    """
-
-    def __init__(self, mode_couplings: Mapping[tuple[int, int], complex] | None = None):
-        self._t: dict[tuple, complex] = {}
+    def __init__(self):
         self._drive: dict[tuple[int, int], complex] = {}
-        for (i, j), v in (mode_couplings or {}).items():
-            self.set_drive(i, j, v)
 
     @classmethod
     def from_rows(cls, rows: Sequence) -> "CouplingModel":
@@ -179,18 +167,7 @@ class CouplingModel:
     def __eq__(self, other):
         if not isinstance(other, CouplingModel):
             return NotImplemented
-        return self._t == other._t and self._drive == other._drive
-
-    def set_transition(self, a: ENLabel, b: ENLabel, value) -> None:
-        value = coupling_value(value)
-        existing = self._t.get(_pair_key(b, a))
-        if existing is not None and abs(existing - value.conjugate()) > 1e-12:
-            raise ValueError(f"non-Hermitian transition integral for {a.key} <-> {b.key}")
-        self._t[_pair_key(a, b)] = value
-        self._t[_pair_key(b, a)] = value.conjugate()
-
-    def transition(self, a: ENLabel, b: ENLabel) -> complex:
-        return self._t.get(_pair_key(a, b), 0.0 + 0.0j)
+        return self._drive == other._drive
 
     def set_drive(self, i: int, j: int, value) -> None:
         if i == j:
@@ -207,38 +184,18 @@ class CouplingModel:
         return sorted(p for p in self._drive if p[0] < p[1])
 
 
-def is_resonant(a: ENLabel, b: ENLabel, m: ModeLabel, tol: float = DEFAULT_RESONANCE_TOL) -> bool:
-    """True iff the excitation gap |E_a - E_b| matches the mode frequency.
-
-    Convention: excitation energy is higher minus lower, so the check is
-    symmetric under swapping a and b.
-    """
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
-    return abs(abs(a.energy - b.energy) - m.omega) <= tol
-
-
-def photonic_level(en: ENLabel, fock_list: Iterable[FockLabel]) -> float:
-    """Energy level of an EN label dressed with photon occupations:
-    E + sum(n * omega).  Zero-point offsets are excluded."""
-    fock_list = list(fock_list)
-    ids = [f.mode.id for f in fock_list]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate mode in fock_list")
-    return en.energy + sum(f.energy for f in fock_list)
-
-
 @dataclass
 class Registry:
-    """Named collections of EN levels, modes and transition couplings.
+    """Named collections of EN levels and modes.
 
-    Loaded from a JSON file with arrays ``levels`` ({j, k, energy}),
-    ``modes`` ({id, omega, dir}) and ``couplings`` ({from, to, value}).
+    Read from a config with arrays ``levels`` ({j, k, energy}), ``modes``
+    ({id, omega, dir}) and ``couplings`` ({from, to, value}).  A coupling row
+    is checked (known levels, a readable value, both directions agreeing) but
+    kept nowhere: no computation reads a transition integral.
     """
 
     levels: dict[tuple[int, int], ENLabel] = field(default_factory=dict)
     modes: dict[str, ModeLabel] = field(default_factory=dict)
-    couplings: CouplingModel = field(default_factory=CouplingModel)
 
     def add_level(self, label: ENLabel) -> None:
         if label.key in self.levels:
@@ -276,16 +233,16 @@ class Registry:
                 direction = tuple(finite(v, "dir") for v in row.get("dir", (1.0, 0.0, 0.0)))
                 reg.add_mode(ModeLabel(id=str(row["id"]), omega=finite(row["omega"], "omega"),
                                        direction=direction))
+        transitions = {}
         for what, row in json_rows(data, "couplings"):
             with reading(what):
-                a = reg.level(operator.index(row["from"][0]), operator.index(row["from"][1]))
-                b = reg.level(operator.index(row["to"][0]), operator.index(row["to"][1]))
-                reg.couplings.set_transition(a, b, row["value"])
+                a = reg.level(operator.index(row["from"][0]), operator.index(row["from"][1])).key
+                b = reg.level(operator.index(row["to"][0]), operator.index(row["to"][1])).key
+                value = coupling_value(row["value"])
+                if abs(transitions.get((b, a), value.conjugate()) - value.conjugate()) > 1e-12:
+                    raise ValueError(f"non-Hermitian transition integral for {a} <-> {b}")
+                transitions[a, b], transitions[b, a] = value, value.conjugate()
         return reg
-
-    @classmethod
-    def from_json(cls, path: str) -> "Registry":
-        return cls.from_dict(load_json(path))
 
 
 def load_json(path: str):

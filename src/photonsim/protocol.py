@@ -186,9 +186,6 @@ class Trace:
     def momentum(self) -> tuple[float, float, float]:
         return self.final.momentum
 
-    def supports(self, tol: float = DEFAULT_SUPPORT_TOL) -> list[frozenset[int]]:
-        return [support(e.state, tol) for e in self.entries]
-
     def to_csv(self) -> str:
         """Deterministic trace listing: amplitude rows, emission rows and a
         momentum row per entry.  Numbers carry 12 significant digits; adding

@@ -334,6 +334,7 @@ def attosecond_init(center: float, width: float, spacing: float,
     n_harmonics is the total (odd) comb size; the comb is omega_n = center +
     n*spacing for n in [-(h-1)/2 .. +(h-1)/2].
     """
+    center, spacing = finite(center, "center"), finite(spacing, "spacing")
     if finite(width, "width") <= 0 or width * width == 0:
         raise ValueError("width must be > 0, with a square that does not underflow to 0")
     if n_harmonics < 1 or n_harmonics % 2 == 0:

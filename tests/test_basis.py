@@ -12,7 +12,6 @@ from photonsim.basis import (
     BasisElement,
     element_level,
     enumerate_basis,
-    fourfold_manifold,
 )
 from photonsim.labels import ENLabel, FockLabel, ModeLabel, PartitionScheme, Registry
 
@@ -25,31 +24,27 @@ def pair_registry():
     })
 
 
-class TestFourfoldManifold:
-    def test_order_and_guises(self):
-        root, exc = ENLabel(0, 0, 0.0), ENLabel(1, 0, 1.0)
-        four = fourfold_manifold(root, exc, ModeLabel("w", 1.0))
-        assert [e.en_labels[0] for e in four] == [root, root, exc, exc]
-        assert [e.photon_part[0][0].n for e in four] == [1, 1, 0, 0]
-        assert [e.photon_part[0][1] for e in four] == [PRODUCT, ENTANGLED, PRODUCT, ENTANGLED]
+def fourfold(root, excited, m):
+    """The four elements one EN pair and one mode span: the root with the
+    quantum available and the excited level with the colored vacuum, each in
+    product and entangled guise."""
+    return [BasisElement(SINGLE_PARTITE, (en,), ((FockLabel(m, n), guise),))
+            for en, n in ((root, 1), (excited, 0)) for guise in (PRODUCT, ENTANGLED)]
 
+
+class TestFourfoldManifold:
     def test_resonant_levels_degenerate(self):
         root, exc = ENLabel(0, 0, 0.5), ENLabel(1, 0, 1.5)
-        four = fourfold_manifold(root, exc, ModeLabel("w", 1.0))
+        four = fourfold(root, exc, ModeLabel("w", 1.0))
         levels = [element_level(e) for e in four]
         assert levels == pytest.approx([1.5] * 4)
 
     def test_off_resonant_root_level_inside_gap(self):
         root, exc = ENLabel(0, 0, 0.0), ENLabel(1, 0, 1.0)
-        four = fourfold_manifold(root, exc, ModeLabel("w", 0.7))
+        four = fourfold(root, exc, ModeLabel("w", 0.7))
         dressed_root = element_level(four[1])
         assert element_level(four[0]) == dressed_root
         assert root.energy < dressed_root < exc.energy
-
-    def test_degenerate_labels_rejected(self):
-        root = ENLabel(0, 0, 0.0)
-        with pytest.raises(ValueError):
-            fourfold_manifold(root, root, ModeLabel("w", 1.0))
 
 
 class TestBasisElement:
@@ -102,7 +97,7 @@ class TestEnumerateBasis:
         b = enumerate_basis(pair_registry, [SINGLE_PARTITE],
                             [pair_registry.mode("w")], n_max=1)
         root, exc = pair_registry.level(0), pair_registry.level(1)
-        for e in fourfold_manifold(root, exc, pair_registry.mode("w")):
+        for e in fourfold(root, exc, pair_registry.mode("w")):
             assert e in b
 
     def test_no_duplicates(self, pair_registry):

@@ -293,6 +293,13 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
     _basis_config(modes=[{"id": "w", "omega": 1.0}, {"id": "w", "omega": 2.0}]),
     _basis_config(levels=[]),
     _raw_script({"scenario": "halted_light", "params": {"omega_side": 2.0}}),
+    lambda tmp_path: ["atto", "--spacing", "inf"],
+    lambda tmp_path: ["slits", "--d", "1e300"],
+    lambda tmp_path: ["slits", "--L", "1e300"],
+    lambda tmp_path: ["slits", "--d", "1e-170", "--kappa", "1e171"],
+    lambda tmp_path: ["slits", "--c1", "1e200"],
+    _basis_config(couplings=[{"from": [0, 0], "to": [1, 0], "value": 0.1},
+                             {"from": [1, 0], "to": [0, 0], "value": 0.2}]),
 ], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative",
         "expect-not-a-list", "wait-inf", "wait-nan", "laser-duration-nan",
         "laser-coupling-nan", "decohere-R-short", "decohere-R-long", "decohere-R-nan",
@@ -314,7 +321,9 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
         "script-unknown-key", "skip-revival-string", "drive-string", "outcome-float",
         "outcome-true", "atto-harmonics-cap", "slits-samples-cap", "slits-samples-zero",
         "atto-width-square-underflow", "wait-duration-negative", "mode-id-duplicate",
-        "levels-empty", "halted-light-omega-order"])
+        "levels-empty", "halted-light-omega-order", "atto-spacing-inf", "slits-d-huge",
+        "slits-L-huge", "slits-half-width-unbounded", "slits-c1-huge",
+        "registry-couplings-disagree"])
 def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err.splitlines()
@@ -361,6 +370,12 @@ def test_number_that_is_not_a_number_exit_2_naming_its_field(argv, field, tmp_pa
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and f"{field} must be" in err[0]
+
+
+@pytest.mark.parametrize("option, value", [("center", "nan"), ("spacing", "inf")])
+def test_atto_names_the_option_it_refuses(option, value, capsys):
+    assert main(["atto", f"--{option}", value]) == 2
+    assert capsys.readouterr().err == f"error: {option} must be a finite number, got {value}\n"
 
 
 def test_secular_nan_level_refused_at_entry(tmp_path, capsys):
@@ -576,9 +591,11 @@ def test_scenario_params_keep_exit_code_contract(script):
     assert _exit_code(["run"], script) in (0, 1, 2, 3)
 
 
-# Option values as the command line gives them: the numbers of _NUMBER as
+# Option values as the command line gives them: the numbers of _NUMBER, or
+# magnitudes from 1e150 to 1e308 whose squares and products overflow, as
 # text.  Sizes stay small, or are above MAX_BASIS_SIZE and refused unbuilt.
-_ARG = _NUMBER.filter(lambda v: type(v) in (int, float, str)).map(str)
+_HUGE = st.floats(1e150, 1e308) | st.floats(-1e308, -1e150)
+_ARG = _mostly(_NUMBER.filter(lambda v: type(v) in (int, float, str)), _HUGE).map(str)
 _UNIT_PAIR = st.floats(0, 2 * math.pi).map(
     lambda t: {"c1": repr(math.cos(t)), "c2": repr(math.sin(t))})
 

@@ -6,9 +6,9 @@ from photonsim.basis import SINGLE_PARTITE, Basis, BasisElement, enumerate_basis
 from photonsim.dynamics import (
     Hamiltonian,
     _eigh,
-    build_hamiltonian,
     double_slit_pattern,
     fringe_half_width,
+    hamiltonian_matrix,
     perturbative_amplitudes,
     propagate,
     solve_secular,
@@ -30,6 +30,11 @@ def secular_matrix(levels=(0.0, 10.0, 9.5, 7.0), v=0.2):
     for i in (0, 2, 3):
         m[1, i] = m[i, 1] = v
     return m
+
+
+def dense(b, cm):
+    """The dense Hamiltonian of ``cm`` over basis ``b``."""
+    return Hamiltonian(b, hamiltonian_matrix(b.levels(), cm))
 
 
 @pytest.fixture
@@ -81,25 +86,25 @@ class TestHamiltonian:
             Hamiltonian(two_level, np.zeros((3, 3), dtype=complex))
 
     def test_build_diagonal_from_levels(self, two_level):
-        H = build_hamiltonian(two_level, CouplingModel())
+        H = dense(two_level, CouplingModel())
         assert np.allclose(np.diag(H.matrix), [1.0, 1.0])
         assert np.count_nonzero(H.matrix - np.diag(np.diag(H.matrix))) == 0
 
     def test_build_includes_drive(self, two_level):
-        cm = CouplingModel(mode_couplings={(0, 1): 0.2})
-        H = build_hamiltonian(two_level, cm)
+        cm = CouplingModel.from_rows([[0, 1, 0.2]])
+        H = dense(two_level, cm)
         assert H.matrix[0, 1] == 0.2 and H.matrix[1, 0] == 0.2
 
     def test_drive_outside_basis_rejected(self, two_level):
         for pair in [(0, 5), (-1, 0), (0, -2)]:
-            cm = CouplingModel(mode_couplings={pair: 0.2})
+            cm = CouplingModel.from_rows([[*pair, 0.2]])
             with pytest.raises(ValueError, match="outside basis"):
-                build_hamiltonian(two_level, cm)
+                dense(two_level, cm)
 
     def test_zero_drive_outside_basis_rejected(self, two_level):
-        cm = CouplingModel(mode_couplings={(0, 5): 0.0})
+        cm = CouplingModel.from_rows([[0, 5, 0.0]])
         with pytest.raises(ValueError, match="outside basis"):
-            build_hamiltonian(two_level, cm)
+            dense(two_level, cm)
         with pytest.raises(ValueError, match="outside basis"):
             propagate(QState(two_level, [1.0, 0.0]), cm, 0.1)
 
@@ -109,7 +114,7 @@ class TestHamiltonian:
             "modes": [{"id": "w", "omega": 1.0}],
         })
         b = enumerate_basis(reg, [SINGLE_PARTITE], [reg.mode("w")], n_max=1)
-        H = build_hamiltonian(b, CouplingModel())
+        H = dense(b, CouplingModel())
         # diagonal equals element levels, all real
         assert np.allclose(np.diag(H.matrix).imag, 0.0)
 
@@ -117,26 +122,26 @@ class TestHamiltonian:
 class TestPropagate:
     def test_dt_zero_is_identity(self, two_level):
         s = window_state(two_level, two_level.element_at(0))
-        out = propagate(s, build_hamiltonian(two_level, CouplingModel()), 0.0)
+        out = propagate(s, dense(two_level, CouplingModel()), 0.0)
         assert np.allclose(out.amps, s.amps, atol=1e-14)
 
     def test_diagonal_closed_form(self, two_level):
-        H = build_hamiltonian(two_level, CouplingModel())
+        H = dense(two_level, CouplingModel())
         amps = np.array([0.6, 0.8], dtype=complex)
         out = propagate(QState(two_level, amps), H, 0.7)
         assert np.allclose(out.amps, amps * np.exp(-1j * 1.0 * 0.7), atol=1e-12)
 
     def test_rabi_half_cycle_transfers_fully(self, two_level):
         V = 0.2
-        cm = CouplingModel(mode_couplings={(0, 1): V})
-        H = build_hamiltonian(two_level, cm)
+        cm = CouplingModel.from_rows([[0, 1, V]])
+        H = dense(two_level, cm)
         s = window_state(two_level, two_level.element_at(0))
         out = propagate(s, H, np.pi / (2 * V))
         assert abs(out.amps[0]) < 1e-12
         assert abs(out.amps[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_time_tag_advances(self, two_level):
-        H = build_hamiltonian(two_level, CouplingModel())
+        H = dense(two_level, CouplingModel())
         s = window_state(two_level, two_level.element_at(0))
         assert propagate(s, H, 0.3).time_tag == pytest.approx(0.3)
 
@@ -144,13 +149,13 @@ class TestPropagate:
         other = Basis([BasisElement(SINGLE_PARTITE, (ENLabel(5, 0, 0.0),))])
         s = window_state(other, other.element_at(0))
         with pytest.raises(ValueError, match="different bases"):
-            propagate(s, build_hamiltonian(two_level, CouplingModel()), 0.1)
+            propagate(s, dense(two_level, CouplingModel()), 0.1)
 
     @pytest.mark.parametrize("dt", [np.inf, np.nan])
     def test_non_finite_dt_rejected(self, two_level, dt):
         s = window_state(two_level, two_level.element_at(0))
         with pytest.raises(ValueError, match="dt must be finite"):
-            propagate(s, CouplingModel(mode_couplings={(0, 1): 0.2}), dt)
+            propagate(s, CouplingModel.from_rows([[0, 1, 0.2]]), dt)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_taylor_series(self, seed, two_level):
@@ -168,8 +173,8 @@ class TestPropagate:
         levels = np.arange(16) * 0.37 + 0.1
         basis = Basis([BasisElement(SINGLE_PARTITE, (ENLabel(k, 0, e),))
                        for k, e in enumerate(levels)])
-        cm = CouplingModel(mode_couplings={(2, 9): 0.3 + 0.1j, (9, 13): 0.25})
-        H = build_hamiltonian(basis, cm)
+        cm = CouplingModel.from_rows([[2, 9, 0.3, 0.1], [9, 13, 0.25]])
+        H = dense(basis, cm)
         rng = np.random.default_rng(3)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
@@ -178,8 +183,8 @@ class TestPropagate:
         assert np.allclose(out.amps, expect, atol=1e-10)
 
     def test_unitarity_over_many_steps(self, two_level):
-        cm = CouplingModel(mode_couplings={(0, 1): 0.37})
-        H = build_hamiltonian(two_level, cm)
+        cm = CouplingModel.from_rows([[0, 1, 0.37]])
+        H = dense(two_level, cm)
         s = window_state(two_level, two_level.element_at(0))
         for _ in range(200):
             s = propagate(s, H, 0.05)

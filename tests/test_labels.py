@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from photonsim.basis import PRODUCT, SINGLE_PARTITE, BasisElement, element_level
 from photonsim.labels import (
     CouplingModel,
     ENLabel,
@@ -12,8 +13,7 @@ from photonsim.labels import (
     Registry,
     RegistryError,
     coupling_value,
-    is_resonant,
-    photonic_level,
+    load_json,
 )
 
 
@@ -53,38 +53,28 @@ class TestFockLabel:
         assert FockLabel(ModeLabel("w", 0.3), 2).energy == pytest.approx(0.6)
 
 
-class TestResonance:
-    def test_exact_gap(self):
-        assert is_resonant(en(1, 0, 1.5), en(0, 0, 0.5), ModeLabel("w", 1.0), 1e-9)
-
-    def test_off_resonance(self):
-        assert not is_resonant(en(1, 0, 1.5), en(0, 0, 0.5), ModeLabel("w", 0.9), 1e-9)
-
-    def test_symmetric_under_swap(self):
-        a, b, m = en(1, 0, 1.5), en(0, 0, 0.5), ModeLabel("w", 1.0)
-        assert is_resonant(a, b, m) == is_resonant(b, a, m)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            is_resonant(en(1, 0, 1.0), en(0, 0, 0.0), ModeLabel("w", 1.0), -1.0)
+def dressed_level(en_label, focks):
+    """The level of a one-block element holding ``focks`` in product guise."""
+    return element_level(BasisElement(SINGLE_PARTITE, (en_label,),
+                                      tuple((f, PRODUCT) for f in focks)))
 
 
 class TestPhotonicLevel:
     def test_one_photon(self):
-        assert photonic_level(en(0, 0, 2.0), [FockLabel(ModeLabel("w", 1.0), 1)]) == 3.0
+        assert dressed_level(en(0, 0, 2.0), [FockLabel(ModeLabel("w", 1.0), 1)]) == 3.0
 
     def test_empty_list(self):
-        assert photonic_level(en(0, 0, 2.0), []) == 2.0
+        assert dressed_level(en(0, 0, 2.0), []) == 2.0
 
     def test_two_modes_hand_sum(self):
         # 0.5 + 2*0.3 + 1*0.1
         focks = [FockLabel(ModeLabel("a", 0.3), 2), FockLabel(ModeLabel("b", 0.1), 1)]
-        assert photonic_level(en(0, 0, 0.5), focks) == pytest.approx(1.2)
+        assert dressed_level(en(0, 0, 0.5), focks) == pytest.approx(1.2)
 
     def test_duplicate_mode_rejected(self):
         m = ModeLabel("w", 1.0)
         with pytest.raises(ValueError):
-            photonic_level(en(0, 0, 0.0), [FockLabel(m, 1), FockLabel(m, 0)])
+            dressed_level(en(0, 0, 0.0), [FockLabel(m, 1), FockLabel(m, 0)])
 
     def test_non_finite_energy_rejected(self):
         with pytest.raises(ValueError, match="energy must be finite"):
@@ -96,8 +86,8 @@ class TestPhotonicLevel:
     def test_linear_in_occupation(self, n, omega, energy):
         m = ModeLabel("w", omega)
         base = en(0, 0, energy)
-        step = (photonic_level(base, [FockLabel(m, n + 1)])
-                - photonic_level(base, [FockLabel(m, n)]))
+        step = (dressed_level(base, [FockLabel(m, n + 1)])
+                - dressed_level(base, [FockLabel(m, n)]))
         assert step == pytest.approx(omega, abs=1e-12, rel=1e-12)
 
 
@@ -116,25 +106,11 @@ class TestPartitionScheme:
 
 
 class TestCouplingModel:
-    def test_hermitian_storage(self):
-        a, b = en(0, 0, 0.0), en(1, 0, 1.0)
-        cm = CouplingModel()
-        cm.set_transition(a, b, 0.1 + 0.2j)
-        assert cm.transition(b, a) == (0.1 - 0.2j)
-
     def test_absent_entry_is_zero(self):
-        cm = CouplingModel()
-        assert cm.transition(en(0, 0, 0.0), en(2, 0, 2.0)) == 0.0
-
-    def test_conflicting_entry_rejected(self):
-        a, b = en(0, 0, 0.0), en(1, 0, 1.0)
-        cm = CouplingModel()
-        cm.set_transition(a, b, 0.1 + 0.2j)
-        with pytest.raises(ValueError):
-            cm.set_transition(b, a, 0.5)
+        assert CouplingModel.from_rows([[0, 1, 0.3]]).drive(0, 2) == 0.0
 
     def test_drive_pairs_hermitian(self):
-        cm = CouplingModel(mode_couplings={(0, 1): 1j})
+        cm = CouplingModel.from_rows([[0, 1, 0.0, 1.0]])
         assert cm.drive(1, 0) == -1j
         assert cm.drive_pairs == [(0, 1)]
 
@@ -146,8 +122,8 @@ class TestCouplingModel:
     def test_from_rows_last_row_of_a_pair_wins(self):
         cm = CouplingModel.from_rows([[0, 1, 0.1], [1, 0, 0.2, 0.3], [0, 1, 0.4]])
         assert cm.drive(0, 1) == 0.4 and cm.drive(1, 0) == 0.4
-        assert cm == CouplingModel(mode_couplings={(1, 0): 0.4})
-        assert cm != CouplingModel(mode_couplings={(0, 1): 0.2 - 0.3j})
+        assert cm == CouplingModel.from_rows([[1, 0, 0.4]])
+        assert cm != CouplingModel.from_rows([[0, 1, 0.2, -0.3]])
 
     def test_never_equal_to_another_type(self):
         assert CouplingModel() != {}
@@ -167,6 +143,13 @@ class TestCouplingValue:
             coupling_value(value)
 
 
+_TWO_LEVELS = [{"j": 0, "k": 0, "energy": 0.0}, {"j": 1, "k": 0, "energy": 1.0}]
+
+
+def _coupling(frm, to, value):
+    return {"from": frm, "to": to, "value": value}
+
+
 class TestRegistry:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "reg.json"
@@ -175,16 +158,30 @@ class TestRegistry:
             "modes": [{"id": "w", "omega": 1.0, "dir": [0, 0, 1]}],
             "couplings": [{"from": [0, 0], "to": [1, 0], "value": [0.1, 0.0]}]
         }""")
-        reg = Registry.from_json(str(path))
+        reg = Registry.from_dict(load_json(str(path)))
         assert reg.level(1).energy == 1.0
         assert reg.mode("w").direction == (0.0, 0.0, 1.0)
-        assert reg.couplings.transition(reg.level(0), reg.level(1)) == 0.1
 
     def test_parse_error_cites_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"levels": [\n  {"j": }\n]}')
         with pytest.raises(RegistryError, match="line 2"):
-            Registry.from_json(str(path))
+            Registry.from_dict(load_json(str(path)))
+
+    def test_conjugate_coupling_rows_accepted(self):
+        rows = [_coupling([0, 0], [1, 0], [0.1, 0.2]), _coupling([1, 0], [0, 0], [0.1, -0.2]),
+                _coupling([0, 0], [1, 0], [0.1, 0.2])]
+        assert Registry.from_dict({"levels": _TWO_LEVELS, "couplings": rows}).level(1).energy == 1.0
+
+    @pytest.mark.parametrize("second", [
+        _coupling([1, 0], [0, 0], [0.1, 0.2]),
+        _coupling([1, 0], [0, 0], 0.5),
+        _coupling([0, 0], [1, 0], [0.1, 0.3]),
+    ], ids=["reverse-not-conjugate", "reverse-other-value", "same-direction-other-value"])
+    def test_disagreeing_coupling_rows_refused(self, second):
+        rows = [_coupling([0, 0], [1, 0], [0.1, 0.2]), second]
+        with pytest.raises(RegistryError, match=r"couplings\[1\]: non-Hermitian"):
+            Registry.from_dict({"levels": _TWO_LEVELS, "couplings": rows})
 
     def test_field_error_cites_entry(self):
         with pytest.raises(RegistryError, match=r"levels\[0\]"):

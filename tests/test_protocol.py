@@ -7,7 +7,7 @@ import pytest
 
 import photonsim.scenarios as scenarios_module
 from photonsim.basis import SINGLE_PARTITE, Basis, BasisElement, enumerate_basis
-from photonsim.dynamics import build_hamiltonian, propagate
+from photonsim.dynamics import Hamiltonian, hamiltonian_matrix, propagate
 from photonsim.labels import CouplingModel, ENLabel, PartitionScheme, Registry, RegistryError
 from photonsim.protocol import (
     ProtocolError,
@@ -148,12 +148,10 @@ class TestLaserOnStep:
         pairs = [rng.choice(pool, size=2, replace=False) for _ in range(rng.integers(1, 4))]
         couplings = [(int(i), int(j), complex(*rng.normal(scale=0.3, size=2)))
                      for i, j in pairs]
-        cm = CouplingModel()
-        for i, j, v in couplings:
-            cm.set_drive(i, j, v)
+        cm = CouplingModel.from_rows(couplings)
         dt = float(rng.uniform(0.5, 3.0))
         trace = run(initial, [ProtocolStep.laser_on("w", couplings, dt)])
-        dense = propagate(initial, build_hamiltonian(basis, cm), dt)
+        dense = propagate(initial, Hamiltonian(basis, hamiltonian_matrix(basis.levels(), cm)), dt)
         assert len(support(initial)) == n
         assert np.array_equal(trace.final.state.amps, dense.amps)
         assert trace.final.state.time_tag == dense.time_tag
@@ -245,8 +243,8 @@ class TestHaltedLight:
         scn = halted_light_scenario()
         trace = run_scenario(scn)
         virt = {scn.index("virt_prod"), scn.index("virt_ent")}
-        for s in trace.supports():
-            assert s & virt == set()
+        for e in trace.entries:
+            assert support(e.state) & virt == set()
 
 
 class TestOnePhotonChannels:
@@ -391,6 +389,12 @@ class TestAttosecondInit:
     def test_width_whose_square_underflows_rejected(self, atto_registry):
         with pytest.raises(ValueError, match="underflow"):
             attosecond_init(50.0, 1e-200, 1.0, 3, atto_registry)
+
+    @pytest.mark.parametrize("center, spacing, field", [
+        (math.nan, 1.0, "center"), (50.0, math.inf, "spacing"), (True, 1.0, "center")])
+    def test_non_finite_center_or_spacing_named(self, atto_registry, center, spacing, field):
+        with pytest.raises(RegistryError, match=f"^{field} must be a finite number"):
+            attosecond_init(center, 1.0, spacing, 3, atto_registry)
 
     def test_registry_without_levels_rejected(self):
         with pytest.raises(ValueError, match="no EN levels"):
