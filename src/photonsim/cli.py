@@ -61,8 +61,8 @@ def _object(value, what: str, keys) -> dict:
 
 
 _BASIS_KEYS = ("levels", "modes", "couplings", "partitions", "basis_modes", "n_max")
-_SCENARIO_SCRIPT_KEYS = ("scenario", "params", "mode", "seed")
-_SCRIPT_KEYS = ("basis_config", "models", "initial", "steps", "mode", "seed")
+_SCENARIO_REF_KEYS = ("scenario", "params", "mode", "seed")
+_EXPLICIT_KEYS = ("basis_config", "models", "initial", "steps", "mode", "seed")
 
 
 def _basis_from_config(cfg) -> Basis:
@@ -98,6 +98,12 @@ _SCENARIOS = {
 }
 
 
+def _tolerance(args) -> float:
+    if finite(args.tol, "--tol") < 0:
+        raise RegistryError(f"--tol must be >= 0, got {args.tol!r}")
+    return args.tol
+
+
 def _read_templates(rows) -> list[frozenset[int]]:
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and all(type(i) is int for i in row) for row in rows)):
@@ -106,9 +112,10 @@ def _read_templates(rows) -> list[frozenset[int]]:
 
 
 def cmd_run(args) -> int:
+    tol = _tolerance(args)
     script = load_json(_resolve(args.script))
     scenario = isinstance(script, dict) and "scenario" in script
-    script = _object(script, "script", _SCENARIO_SCRIPT_KEYS if scenario else _SCRIPT_KEYS)
+    script = _object(script, "script", _SCENARIO_REF_KEYS if scenario else _EXPLICIT_KEYS)
     mode = args.mode or script.get("mode", "deterministic")
     seed = args.seed if args.seed is not None else script.get("seed")
     if scenario:
@@ -147,7 +154,7 @@ def cmd_run(args) -> int:
     _write_out(trace.to_csv(), args.out)
 
     if templates is not None:
-        problems = check_templates(trace, templates, tol=args.tol)
+        problems = check_templates(trace, templates, tol=tol)
         if problems:
             for msg in problems:
                 print(f"mismatch: {msg}", file=sys.stderr)
@@ -239,7 +246,7 @@ def cmd_atto(args) -> int:
 
 def cmd_slits(args) -> int:
     x, intensity = double_slit_pattern(args.c1, args.c2, args.d, args.L, args.kappa, args.samples,
-                                       norm_tol=args.tol)
+                                       norm_tol=_tolerance(args))
     lines = ["x,intensity"]
     for xi, ii in zip(x, intensity):
         lines.append(f"{_G(xi)},{_G(ii)}")

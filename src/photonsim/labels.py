@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 __all__ = [
-    "DEFAULT_RESONANCE_TOL",
     "ModeLabel",
     "FockLabel",
     "ENLabel",
@@ -32,8 +31,6 @@ __all__ = [
     "load_json",
     "reading",
 ]
-
-DEFAULT_RESONANCE_TOL = 1e-9
 
 
 class RegistryError(ValueError):

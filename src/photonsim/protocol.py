@@ -57,15 +57,11 @@ class ProtocolStepError(ProtocolError):
 
 _KINDS = ("prepare", "laser_on", "wait", "induce", "erase", "decohere")
 
-# Script ``params`` keys that differ from the constructor argument names.
-_SCRIPT_KEYS = {"element": "element_index", "mode": "mode_id", "absorb": "absorb_modes",
-                "emit": "emit_index", "target": "target_index"}
 
-
-def _mode_ids(absorb_modes: Sequence[str]) -> list[str]:
-    if not (isinstance(absorb_modes, (list, tuple)) and all(isinstance(m, str) for m in absorb_modes)):
+def _absorbed(absorb: Sequence[str]) -> list[str]:
+    if not (isinstance(absorb, (list, tuple)) and all(isinstance(m, str) for m in absorb)):
         raise ProtocolError("absorb must be a list of mode ids")
-    return list(absorb_modes)
+    return list(absorb)
 
 
 @dataclass(frozen=True)
@@ -84,9 +80,8 @@ class ProtocolStep:
     @classmethod
     def from_dict(cls, row: dict) -> "ProtocolStep":
         """Build a step from its script form ``{"kind": ..., "params": {...}}``.
-        The constructors are the schema: ``params`` are passed to the one of
-        that kind, renamed by ``_SCRIPT_KEYS``.  A malformed row raises
-        ``ProtocolError``."""
+        The constructors are the schema: ``params`` are the keyword arguments
+        of the one of that kind.  A malformed row raises ``ProtocolError``."""
         if not isinstance(row, dict):
             raise ProtocolError("a step must be an object")
         kind = row.get("kind")
@@ -95,31 +90,28 @@ class ProtocolStep:
         params = row.get("params", {})
         if not isinstance(params, dict):
             raise ProtocolError(f"{kind}: params must be an object")
-        if aliased := sorted(set(params) & set(_SCRIPT_KEYS.values())):
-            raise ProtocolError(f"{kind}: unknown params key {aliased[0]!r}")
         try:
-            return getattr(cls, kind)(**{_SCRIPT_KEYS.get(k, k): v for k, v in params.items()})
+            return getattr(cls, kind)(**params)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"{kind}: {exc}") from None
 
     @classmethod
-    def prepare(cls, element_index: int, absorb_modes: Sequence[str] = (), annotation: str = ""):
-        return cls("prepare", {"element": operator.index(element_index), "absorb": _mode_ids(absorb_modes)},
-                   annotation)
+    def prepare(cls, element: int, absorb: Sequence[str] = (), annotation: str = ""):
+        return cls("prepare", {"element": operator.index(element), "absorb": _absorbed(absorb)}, annotation)
 
     @classmethod
-    def laser_on(cls, mode_id: str, couplings: Sequence[tuple[int, int, complex]],
-                 duration: float, absorb_modes: Sequence[str] = (), annotation: str = ""):
+    def laser_on(cls, mode: str, couplings: Sequence[tuple[int, int, complex]],
+                 duration: float, absorb: Sequence[str] = (), annotation: str = ""):
         """Coupling rows as read by ``CouplingModel.from_rows``."""
-        if not isinstance(mode_id, str):
+        if not isinstance(mode, str):
             raise ProtocolError("mode must be a mode id")
         if finite(duration, "duration") < 0:
             raise ProtocolError("duration must be non-negative")
         return cls("laser_on", {
-            "mode": mode_id,
+            "mode": mode,
             "couplings": CouplingModel.from_rows(couplings),
             "duration": float(duration),
-            "absorb": _mode_ids(absorb_modes),
+            "absorb": _absorbed(absorb),
         }, annotation)
 
     @classmethod
@@ -143,14 +135,12 @@ class ProtocolStep:
                              "renormalize": flag(renormalize, "renormalize")}, annotation)
 
     @classmethod
-    def decohere(cls, emit_index: int, target_index: int,
-                 R: tuple[float, float, float] = (0.0, 0.0, 0.0),
+    def decohere(cls, emit: int, target: int, R: tuple[float, float, float] = (0.0, 0.0, 0.0),
                  renormalize: bool = False, annotation: str = ""):
         R = tuple(finite(r, "R") for r in R)
         if len(R) != 3:
             raise ProtocolError("R must be 3 finite numbers")
-        return cls("decohere", {"emit": operator.index(emit_index),
-                                "target": operator.index(target_index),
+        return cls("decohere", {"emit": operator.index(emit), "target": operator.index(target),
                                 "R": R, "renormalize": flag(renormalize, "renormalize")}, annotation)
 
 
@@ -161,7 +151,6 @@ class TraceEntry:
     state: QState
     emissions: tuple[EmissionRecord, ...]
     momentum: tuple[float, float, float]
-    annotation: str = ""
 
 
 class Trace:
@@ -245,13 +234,13 @@ def run(
 
     modes = {}  # each mode id is looked up in the basis once per run
 
-    def _mode(mode_id: str):
-        if mode_id not in modes:
-            modes[mode_id] = next((fock.mode for el in basis for fock, _ in el.photon_part
-                                   if fock.mode.id == mode_id), None)
-        if modes[mode_id] is None:
-            raise ProtocolError(f"mode {mode_id!r} not present in basis")
-        return modes[mode_id]
+    def _mode(mid: str):
+        if mid not in modes:
+            modes[mid] = next((fock.mode for el in basis for fock, _ in el.photon_part
+                               if fock.mode.id == mid), None)
+        if modes[mid] is None:
+            raise ProtocolError(f"mode {mid!r} not present in basis")
+        return modes[mid]
 
     for step_no, step in enumerate(steps, 1):
         p = step.params
@@ -287,8 +276,7 @@ def run(
                 ledger += np.array(_mode(mid).momentum)
         except (ProtocolError, ValueError, IndexError, KeyError) as exc:
             raise ProtocolStepError(step_no, step.kind, str(exc)) from exc
-        entries.append(TraceEntry(step_no, step.kind, state, tuple(emissions),
-                                  tuple(ledger), step.annotation))
+        entries.append(TraceEntry(step_no, step.kind, state, tuple(emissions), tuple(ledger)))
     return Trace(entries)
 
 

@@ -14,9 +14,10 @@ from typing import Iterable
 import numpy as np
 
 from .basis import Basis, BasisElement, element_level
-from .labels import DEFAULT_RESONANCE_TOL, ModeLabel
+from .labels import ModeLabel
 
 __all__ = [
+    "DEFAULT_RESONANCE_TOL",
     "DEFAULT_SUPPORT_TOL",
     "QState",
     "EmissionRecord",
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 DEFAULT_SUPPORT_TOL = 1e-10
+DEFAULT_RESONANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,6 @@ def decohere(
     emit_index: int,
     target_index: int,
     R: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    tol: float = DEFAULT_SUPPORT_TOL,
-    energy_tol: float = DEFAULT_RESONANCE_TOL,
     renormalize: bool = False,
 ) -> tuple[QState, EmissionRecord]:
     """Detach the amplitude at emit_index as an emitted-photon branch.
@@ -145,11 +145,11 @@ def decohere(
     emit_el = s.basis.element_at(emit_index)
     target_el = s.basis.element_at(target_index)
     amp = complex(s.amps[emit_index])
-    if abs(amp) <= tol:
+    if abs(amp) <= DEFAULT_SUPPORT_TOL:
         raise ValueError(f"emit index {emit_index} is not in the coherence support")
     mode = _emitted_mode(emit_el, target_el)
     gap = element_level(emit_el) - element_level(target_el)
-    if abs(gap - mode.omega) > energy_tol:
+    if abs(gap - mode.omega) > DEFAULT_RESONANCE_TOL:
         raise ValueError(
             f"emission energy mismatch: level gap {gap} != omega {mode.omega} of mode {mode.id!r}"
         )

@@ -43,8 +43,21 @@ class Scenario:
         return self.basis.index(self.named_elements[name])
 
 
-def _zero_state(basis: Basis) -> QState:
-    return QState(basis, np.zeros(len(basis), dtype=np.complex128))
+def _el(en: ENLabel, *photon) -> BasisElement:
+    return BasisElement(SINGLE_PARTITE, (en,), tuple(photon))
+
+
+def _scenario(name: str, named: dict, metadata: dict, script) -> Scenario:
+    """A built-in scenario over the canonical basis of ``named``, from the zero
+    state.  ``script(ix)`` gets the name -> index map and lists ``(step,
+    support)`` pairs; a support names, space-separated, the elements expected
+    to carry amplitude after its step."""
+    basis = Basis(named.values(), metadata={"scenario": name, **metadata})
+    ix = {k: basis.index(v) for k, v in named.items()}
+    steps, supports = zip(*script(ix))
+    templates = [frozenset()] + [frozenset(map(ix.__getitem__, names.split())) for names in supports]
+    return Scenario(name, basis, QState(basis, np.zeros(len(basis), dtype=np.complex128)),
+                    steps, tuple(templates), named)
 
 
 def lambda_scenario(omega_10: float = 1.0, omega_20: float = 0.6,
@@ -70,23 +83,18 @@ def lambda_scenario(omega_10: float = 1.0, omega_20: float = 0.6,
     j1 = ENLabel(1, 0, omega_10)
     j2 = ENLabel(2, 0, omega_20)
 
-    def el(en, *photon):
-        return BasisElement(SINGLE_PARTITE, (en,), tuple(photon))
-
     named = {
-        "root_in": el(j0, (FockLabel(w10, 1), PRODUCT)),
-        "root_ent": el(j0, (FockLabel(w10, 1), ENTANGLED)),
-        "upper_prod": el(j1, (FockLabel(w10, 0), PRODUCT)),
-        "upper_vac12": el(j1, (FockLabel(w10, 0), ENTANGLED), (FockLabel(w12, 0), PRODUCT)),
-        "upper_with12": el(j1, (FockLabel(w10, 0), ENTANGLED), (FockLabel(w12, 1), PRODUCT)),
-        "dark_vac": el(j2, (FockLabel(w20, 0), ENTANGLED), (FockLabel(w12, 0), PRODUCT)),
-        "dark_with12": el(j2, (FockLabel(w20, 0), ENTANGLED), (FockLabel(w12, 1), PRODUCT)),
-        "dark_ent12": el(j2, (FockLabel(w20, 0), ENTANGLED), (FockLabel(w12, 1), ENTANGLED)),
-        "emit_root": el(j2, (FockLabel(w20, 0), PRODUCT), (FockLabel(w12, 1), PRODUCT)),
-        "emit_target": el(j2, (FockLabel(w20, 0), PRODUCT), (FockLabel(w12, 0), PRODUCT)),
+        "root_in": _el(j0, (FockLabel(w10, 1), PRODUCT)),
+        "root_ent": _el(j0, (FockLabel(w10, 1), ENTANGLED)),
+        "upper_prod": _el(j1, (FockLabel(w10, 0), PRODUCT)),
+        "upper_vac12": _el(j1, (FockLabel(w10, 0), ENTANGLED), (FockLabel(w12, 0), PRODUCT)),
+        "upper_with12": _el(j1, (FockLabel(w10, 0), ENTANGLED), (FockLabel(w12, 1), PRODUCT)),
+        "dark_vac": _el(j2, (FockLabel(w20, 0), ENTANGLED), (FockLabel(w12, 0), PRODUCT)),
+        "dark_with12": _el(j2, (FockLabel(w20, 0), ENTANGLED), (FockLabel(w12, 1), PRODUCT)),
+        "dark_ent12": _el(j2, (FockLabel(w20, 0), ENTANGLED), (FockLabel(w12, 1), ENTANGLED)),
+        "emit_root": _el(j2, (FockLabel(w20, 0), PRODUCT), (FockLabel(w12, 1), PRODUCT)),
+        "emit_target": _el(j2, (FockLabel(w20, 0), PRODUCT), (FockLabel(w12, 0), PRODUCT)),
     }
-    basis = Basis(named.values(), metadata={"scenario": "lambda"})
-    ix = {k: basis.index(v) for k, v in named.items()}
 
     V = coupling
     # Resonant 1-to-2 fanout: full transfer out of the opening channel at
@@ -94,36 +102,31 @@ def lambda_scenario(omega_10: float = 1.0, omega_20: float = 0.6,
     t_open = math.pi / (2.0 * math.sqrt(2.0) * V)
     t_second = 0.8 / V  # generic partial mixing along the chain
 
-    steps = (
-        ProtocolStep.prepare(ix["root_in"], absorb_modes=["w10"],
-                             annotation="opening channel, pulse along k_forward"),
-        ProtocolStep.laser_on("w10", [(ix["root_in"], ix["root_ent"], V),
-                                      (ix["root_in"], ix["upper_prod"], V)], t_open,
-                              annotation="incoming channel switched off"),
-        ProtocolStep.laser_on("w12", [(ix["upper_prod"], ix["upper_with12"], V),
-                                      (ix["upper_with12"], ix["dark_ent12"], V)], t_second,
-                              absorb_modes=["w12"],
-                              annotation="second beam, perpendicular direction"),
-        ProtocolStep.induce([(ix["dark_ent12"], ix["emit_root"]),
-                             (ix["upper_with12"], ix["dark_vac"])],
-                            annotation="induced transition toward decoherence"),
-        ProtocolStep.erase([ix["root_ent"], ix["upper_prod"]], renormalize=True),
-        ProtocolStep.erase([ix["dark_vac"]], renormalize=True,
-                           annotation="root-state for spontaneous emission"),
-        ProtocolStep.decohere(ix["emit_root"], ix["emit_target"],
-                              annotation="photon detached toward the detector"),
-    )
-    templates = (
-        frozenset(),
-        frozenset({ix["root_in"]}),
-        frozenset({ix["root_ent"], ix["upper_prod"]}),
-        frozenset({ix["root_ent"], ix["upper_prod"], ix["upper_with12"], ix["dark_ent12"]}),
-        frozenset({ix["root_ent"], ix["upper_prod"], ix["dark_vac"], ix["emit_root"]}),
-        frozenset({ix["dark_vac"], ix["emit_root"]}),
-        frozenset({ix["emit_root"]}),
-        frozenset(),
-    )
-    return Scenario("lambda", basis, _zero_state(basis), steps, templates, named)
+    return _scenario("lambda", named, {}, lambda ix: [
+        (ProtocolStep.prepare(ix["root_in"], absorb=["w10"],
+                              annotation="opening channel, pulse along k_forward"),
+         "root_in"),
+        (ProtocolStep.laser_on("w10", [(ix["root_in"], ix["root_ent"], V),
+                                       (ix["root_in"], ix["upper_prod"], V)], t_open,
+                               annotation="incoming channel switched off"),
+         "root_ent upper_prod"),
+        (ProtocolStep.laser_on("w12", [(ix["upper_prod"], ix["upper_with12"], V),
+                                       (ix["upper_with12"], ix["dark_ent12"], V)], t_second,
+                               absorb=["w12"], annotation="second beam, perpendicular direction"),
+         "root_ent upper_prod upper_with12 dark_ent12"),
+        (ProtocolStep.induce([(ix["dark_ent12"], ix["emit_root"]),
+                              (ix["upper_with12"], ix["dark_vac"])],
+                             annotation="induced transition toward decoherence"),
+         "root_ent upper_prod dark_vac emit_root"),
+        (ProtocolStep.erase([ix["root_ent"], ix["upper_prod"]], renormalize=True),
+         "dark_vac emit_root"),
+        (ProtocolStep.erase([ix["dark_vac"]], renormalize=True,
+                            annotation="root-state for spontaneous emission"),
+         "emit_root"),
+        (ProtocolStep.decohere(ix["emit_root"], ix["emit_target"],
+                               annotation="photon detached toward the detector"),
+         ""),
+    ])
 
 
 def halted_light_scenario(omega_pump: float = 1.0, omega_side: float = 0.4,
@@ -146,80 +149,70 @@ def halted_light_scenario(omega_pump: float = 1.0, omega_side: float = 0.4,
     k_f = (1.0, 0.0, 0.0)
     pump = ModeLabel("w20f", omega_pump, k_f)
     plus = ModeLabel("w12p", omega_side, (0.0, 1.0, 0.0))
-    minus = ModeLabel("w12m", omega_side, (0.0, -1.0, 0.0))
     virt = ModeLabel("virt", omega_pump - omega_side, k_f)
 
     j0 = ENLabel(0, 0, 0.0)
     j1 = ENLabel(1, 0, omega_pump)
     j2 = ENLabel(2, 0, omega_pump - omega_side)
 
-    def el(en, *photon):
-        return BasisElement(SINGLE_PARTITE, (en,), tuple(photon))
-
     named = {
-        "vacuum": el(j0, (FockLabel(pump, 0), PRODUCT)),
-        "pulse_in": el(j0, (FockLabel(pump, 1), PRODUCT)),
-        "pulse_ent": el(j0, (FockLabel(pump, 1), ENTANGLED)),
-        "upper_prod": el(j1, (FockLabel(pump, 0), PRODUCT)),
-        "upper_ent": el(j1, (FockLabel(pump, 0), ENTANGLED)),
-        "upper_side_prod": el(j1, (FockLabel(plus, 1), PRODUCT)),
-        "upper_side_ent": el(j1, (FockLabel(plus, 1), ENTANGLED)),
-        "virt_prod": el(j0, (FockLabel(virt, 1), PRODUCT)),
-        "virt_ent": el(j0, (FockLabel(virt, 1), ENTANGLED)),
-        "stored": el(j2, (FockLabel(pump, 0), ENTANGLED), (FockLabel(plus, 1), PRODUCT)),
-        "dark_vac": el(j2, (FockLabel(pump, 0), PRODUCT), (FockLabel(plus, 0), PRODUCT)),
-        "dark_ent": el(j2, (FockLabel(pump, 0), ENTANGLED), (FockLabel(plus, 1), ENTANGLED)),
-        "memory_loss": el(j2, (FockLabel(plus, 0), PRODUCT)),
+        "vacuum": _el(j0, (FockLabel(pump, 0), PRODUCT)),
+        "pulse_in": _el(j0, (FockLabel(pump, 1), PRODUCT)),
+        "pulse_ent": _el(j0, (FockLabel(pump, 1), ENTANGLED)),
+        "upper_prod": _el(j1, (FockLabel(pump, 0), PRODUCT)),
+        "upper_ent": _el(j1, (FockLabel(pump, 0), ENTANGLED)),
+        "upper_side_prod": _el(j1, (FockLabel(plus, 1), PRODUCT)),
+        "upper_side_ent": _el(j1, (FockLabel(plus, 1), ENTANGLED)),
+        "virt_prod": _el(j0, (FockLabel(virt, 1), PRODUCT)),
+        "virt_ent": _el(j0, (FockLabel(virt, 1), ENTANGLED)),
+        "stored": _el(j2, (FockLabel(pump, 0), ENTANGLED), (FockLabel(plus, 1), PRODUCT)),
+        "dark_vac": _el(j2, (FockLabel(pump, 0), PRODUCT), (FockLabel(plus, 0), PRODUCT)),
+        "dark_ent": _el(j2, (FockLabel(pump, 0), ENTANGLED), (FockLabel(plus, 1), ENTANGLED)),
+        "memory_loss": _el(j2, (FockLabel(plus, 0), PRODUCT)),
     }
-    basis = Basis(named.values(), metadata={"scenario": "halted_light"})
-    ix = {k: basis.index(v) for k, v in named.items()}
 
     V = coupling
-    steps = [
-        ProtocolStep.prepare(ix["pulse_in"], absorb_modes=["w20f"],
-                             annotation="forward pulse enters"),
-        ProtocolStep.laser_on("w20f", [(ix["pulse_in"], ix["pulse_ent"], V)], 0.6 / V,
-                              annotation="photon-state entanglement opens"),
-        ProtocolStep.laser_on("w20f", [(ix["pulse_in"], ix["upper_ent"], V)],
-                              math.pi / (2.0 * V),
-                              annotation="internal coherent state; pulse stopped"),
-        ProtocolStep.induce([(ix["pulse_ent"], ix["upper_side_ent"]),
-                             (ix["upper_ent"], ix["stored"])],
-                            annotation="dark transition via k+; beam carries one photon in excess"),
-        ProtocolStep.laser_on("w12p", [(ix["stored"], ix["dark_vac"], V)], 0.5 / V),
-        ProtocolStep.erase([ix["upper_side_ent"], ix["dark_vac"]], renormalize=True,
-                           annotation="stored coherent state; finite lifetime"),
-    ]
-    templates = [
-        frozenset(),
-        frozenset({ix["pulse_in"]}),
-        frozenset({ix["pulse_in"], ix["pulse_ent"]}),
-        frozenset({ix["pulse_ent"], ix["upper_ent"]}),
-        frozenset({ix["upper_side_ent"], ix["stored"]}),
-        frozenset({ix["upper_side_ent"], ix["stored"], ix["dark_vac"]}),
-        frozenset({ix["stored"]}),
-    ]
-    if not skip_revival:
-        steps += [
-            ProtocolStep.wait(duration=1.0, annotation="storage delay"),
-            ProtocolStep.induce([(ix["stored"], ix["upper_ent"])],
-                                annotation="k- beam consumes the stored quantum"),
-            ProtocolStep.induce([(ix["upper_ent"], ix["pulse_ent"])],
-                                annotation="frequency up-conversion via the virtual mode"),
-            ProtocolStep.induce([(ix["pulse_ent"], ix["pulse_in"])],
-                                annotation="re-coherence: pulse revival"),
-            ProtocolStep.decohere(ix["pulse_in"], ix["vacuum"],
-                                  annotation="flash in the forward direction"),
+
+    def script(ix):
+        pairs = [
+            (ProtocolStep.prepare(ix["pulse_in"], absorb=["w20f"], annotation="forward pulse enters"),
+             "pulse_in"),
+            (ProtocolStep.laser_on("w20f", [(ix["pulse_in"], ix["pulse_ent"], V)], 0.6 / V,
+                                   annotation="photon-state entanglement opens"),
+             "pulse_in pulse_ent"),
+            (ProtocolStep.laser_on("w20f", [(ix["pulse_in"], ix["upper_ent"], V)],
+                                   math.pi / (2.0 * V),
+                                   annotation="internal coherent state; pulse stopped"),
+             "pulse_ent upper_ent"),
+            (ProtocolStep.induce([(ix["pulse_ent"], ix["upper_side_ent"]),
+                                  (ix["upper_ent"], ix["stored"])],
+                                 annotation="dark transition via k+; beam carries one photon in excess"),
+             "upper_side_ent stored"),
+            (ProtocolStep.laser_on("w12p", [(ix["stored"], ix["dark_vac"], V)], 0.5 / V),
+             "upper_side_ent stored dark_vac"),
+            (ProtocolStep.erase([ix["upper_side_ent"], ix["dark_vac"]], renormalize=True,
+                                annotation="stored coherent state; finite lifetime"),
+             "stored"),
         ]
-        templates += [
-            frozenset({ix["stored"]}),
-            frozenset({ix["upper_ent"]}),
-            frozenset({ix["pulse_ent"]}),
-            frozenset({ix["pulse_in"]}),
-            frozenset(),
+        if skip_revival:
+            return pairs
+        return pairs + [
+            (ProtocolStep.wait(duration=1.0, annotation="storage delay"), "stored"),
+            (ProtocolStep.induce([(ix["stored"], ix["upper_ent"])],
+                                 annotation="k- beam consumes the stored quantum"),
+             "upper_ent"),
+            (ProtocolStep.induce([(ix["upper_ent"], ix["pulse_ent"])],
+                                 annotation="frequency up-conversion via the virtual mode"),
+             "pulse_ent"),
+            (ProtocolStep.induce([(ix["pulse_ent"], ix["pulse_in"])],
+                                 annotation="re-coherence: pulse revival"),
+             "pulse_in"),
+            (ProtocolStep.decohere(ix["pulse_in"], ix["vacuum"],
+                                   annotation="flash in the forward direction"),
+             ""),
         ]
-    return Scenario("halted_light", basis, _zero_state(basis), tuple(steps),
-                    tuple(templates), named)
+
+    return _scenario("halted_light", named, {}, script)
 
 
 def one_photon_dissociation_scenario(outcome: int = 1, omega: float = 1.0,
@@ -263,67 +256,48 @@ def one_photon_dissociation_scenario(outcome: int = 1, omega: float = 1.0,
         "relaxed_hot": BasisElement(a0, (relaxed,), ((FockLabel(w00, 1), PRODUCT),)),
         "relaxed_cold": BasisElement(a0, (relaxed,), ((FockLabel(w00, 0), PRODUCT),)),
     }
-    basis = Basis(named.values(), metadata={"scenario": "one_photon", "outcome": outcome})
-    ix = {k: basis.index(v) for k, v in named.items()}
 
     V = coupling
-    steps = [ProtocolStep.prepare(ix["window"], absorb_modes=["w"],
-                                  annotation="window q-state: the photon energy exhausts here")]
-    templates = [frozenset(), frozenset({ix["window"]})]
-    if not drive:
-        steps.append(ProtocolStep.wait(duration=5.0,
-                                       annotation="no external drive: state invariant"))
-        templates.append(frozenset({ix["window"]}))
-        return Scenario("one_photon", basis, _zero_state(basis), tuple(steps),
-                        tuple(templates), named)
 
-    steps += [
-        ProtocolStep.laser_on("w", [(ix["window"], ix["retained"], V)], 0.6 / V,
-                              annotation="entanglement retains the EM energy"),
-        ProtocolStep.erase([ix["window"]], renormalize=True,
-                           annotation="coherence dissipates: vacuum information suppressed"),
-        ProtocolStep.laser_on("w", [(ix["retained"], ix["b1_channel"], V),
-                                    (ix["retained"], ix["b2_channel"], V)], 0.5 / V,
-                              annotation="chromophore coherence over dissociative channels"),
-    ]
-    templates += [
-        frozenset({ix["window"], ix["retained"]}),
-        frozenset({ix["retained"]}),
-        frozenset({ix["retained"], ix["b1_channel"], ix["b2_channel"]}),
-    ]
+    def script(ix):
+        pairs = [(ProtocolStep.prepare(ix["window"], absorb=["w"],
+                                       annotation="window q-state: the photon energy exhausts here"),
+                  "window")]
+        if not drive:
+            return pairs + [(ProtocolStep.wait(duration=5.0,
+                                               annotation="no external drive: state invariant"),
+                             "window")]
+        pairs += [
+            (ProtocolStep.laser_on("w", [(ix["window"], ix["retained"], V)], 0.6 / V,
+                                   annotation="entanglement retains the EM energy"),
+             "window retained"),
+            (ProtocolStep.erase([ix["window"]], renormalize=True,
+                                annotation="coherence dissipates: vacuum information suppressed"),
+             "retained"),
+            (ProtocolStep.laser_on("w", [(ix["retained"], ix["b1_channel"], V),
+                                         (ix["retained"], ix["b2_channel"], V)], 0.5 / V,
+                                   annotation="chromophore coherence over dissociative channels"),
+             "retained b1_channel b2_channel"),
+        ]
+        if outcome == 4:
+            return pairs + [(ProtocolStep.laser_on("w", [(ix["retained"], ix["b1_channel"], V)],
+                                                   0.4 / V,
+                                                   annotation="coupling into dissociative channel B1"),
+                             "retained b1_channel b2_channel")]
+        emitter, landing, induce_note, emit_note = {
+            1: ("window", "root_vac", "", "re-emission in any direction"),
+            2: ("relaxed_hot", "relaxed_cold",
+                "chromophore relaxes; low-frequency quantum available", ""),
+            3: ("window", "root_vac", "", "filtered monochromatic 0-0 emission"),
+        }[outcome]
+        return pairs + [
+            (ProtocolStep.erase([ix["b1_channel"], ix["b2_channel"]], renormalize=True), "retained"),
+            (ProtocolStep.induce([(ix["retained"], ix[emitter])], annotation=induce_note), emitter),
+            (ProtocolStep.decohere(ix[emitter], ix[landing], renormalize=True, annotation=emit_note),
+             landing),
+        ]
 
-    if outcome == 1 or outcome == 3:
-        note = "filtered monochromatic 0-0 emission" if outcome == 3 else "re-emission in any direction"
-        steps += [
-            ProtocolStep.erase([ix["b1_channel"], ix["b2_channel"]], renormalize=True),
-            ProtocolStep.induce([(ix["retained"], ix["window"])]),
-            ProtocolStep.decohere(ix["window"], ix["root_vac"], renormalize=True,
-                                  annotation=note),
-        ]
-        templates += [
-            frozenset({ix["retained"]}),
-            frozenset({ix["window"]}),
-            frozenset({ix["root_vac"]}),
-        ]
-    elif outcome == 2:
-        steps += [
-            ProtocolStep.erase([ix["b1_channel"], ix["b2_channel"]], renormalize=True),
-            ProtocolStep.induce([(ix["retained"], ix["relaxed_hot"])],
-                                annotation="chromophore relaxes; low-frequency quantum available"),
-            ProtocolStep.decohere(ix["relaxed_hot"], ix["relaxed_cold"], renormalize=True),
-        ]
-        templates += [
-            frozenset({ix["retained"]}),
-            frozenset({ix["relaxed_hot"]}),
-            frozenset({ix["relaxed_cold"]}),
-        ]
-    else:  # outcome 4
-        steps.append(ProtocolStep.laser_on("w", [(ix["retained"], ix["b1_channel"], V)],
-                                           0.4 / V,
-                                           annotation="coupling into dissociative channel B1"))
-        templates.append(frozenset({ix["retained"], ix["b1_channel"], ix["b2_channel"]}))
-    return Scenario("one_photon", basis, _zero_state(basis), tuple(steps),
-                    tuple(templates), named)
+    return _scenario("one_photon", named, {"outcome": outcome}, script)
 
 
 def attosecond_init(center: float, width: float, spacing: float,
@@ -347,9 +321,6 @@ def attosecond_init(center: float, width: float, spacing: float,
         raise ValueError("registry has no EN levels")
     if n_harmonics + len(levels) - 1 > MAX_BASIS_SIZE:
         raise ValueError(f"comb basis would have more than {MAX_BASIS_SIZE} elements")
-    if width >= center / 10.0:
-        warnings.warn("comb width is not small against the center frequency",
-                      stacklevel=2)
 
     root = registry.levels[levels[0]]
     excited = [registry.levels[k] for k in levels[1:]]
@@ -358,18 +329,19 @@ def attosecond_init(center: float, width: float, spacing: float,
     comb = []
     for nn in range(-half, half + 1):
         mode = ModeLabel(f"comb{nn:+d}", center + nn * spacing, (1.0, 0.0, 0.0))
-        el = BasisElement(SINGLE_PARTITE, (root,), ((FockLabel(mode, 1), ENTANGLED),))
+        el = _el(root, (FockLabel(mode, 1), ENTANGLED))
         comb.append((nn, el))
         elements.append(el)
     anchor = ModeLabel("comb+0", center, (1.0, 0.0, 0.0))
     for exc in excited:
-        elements.append(BasisElement(SINGLE_PARTITE, (exc,),
-                                     ((FockLabel(anchor, 0), PRODUCT),)))
+        elements.append(_el(exc, (FockLabel(anchor, 0), PRODUCT)))
     basis = Basis(elements, metadata={"scenario": "attosecond", "n_harmonics": n_harmonics})
 
     amps = np.zeros(len(basis), dtype=np.complex128)
     for nn, el in comb:
         detune = nn * spacing
         amps[basis.index(el)] = math.exp(-(detune * detune) / (2.0 * width * width))
-    amps /= np.linalg.norm(amps)
-    return QState(basis, amps)
+    state = QState(basis, amps).normalized()  # a non-finite amplitude is refused before dividing
+    if width >= center / 10.0:
+        warnings.warn("comb width is not small against the center frequency", stacklevel=2)
+    return state

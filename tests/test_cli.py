@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,6 +301,13 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
     lambda tmp_path: ["slits", "--c1", "1e200"],
     _basis_config(couplings=[{"from": [0, 0], "to": [1, 0], "value": 0.1},
                              {"from": [1, 0], "to": [0, 0], "value": 0.2}]),
+    lambda tmp_path: ["run", write(tmp_path, "s.json", {"scenario": "lambda"}), "--tol", "-1"],
+    lambda tmp_path: ["run", write(tmp_path, "s.json", {"scenario": "lambda"}), "--tol", "nan"],
+    lambda tmp_path: ["run", write(tmp_path, "s.json", {"scenario": "lambda"}), "--tol", "inf"],
+    lambda tmp_path: ["slits", "--tol", "nan"],
+    lambda tmp_path: ["slits", "--tol", "-1"],
+    lambda tmp_path: ["atto", "--center", "1e300", "--spacing", "1e200", "--width", "1e200"],
+    lambda tmp_path: ["atto", "--center", "1e300", "--spacing", "1e200", "--width", "1e300"],
 ], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative",
         "expect-not-a-list", "wait-inf", "wait-nan", "laser-duration-nan",
         "laser-coupling-nan", "decohere-R-short", "decohere-R-long", "decohere-R-nan",
@@ -323,10 +331,17 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
         "atto-width-square-underflow", "wait-duration-negative", "mode-id-duplicate",
         "levels-empty", "halted-light-omega-order", "atto-spacing-inf", "slits-d-huge",
         "slits-L-huge", "slits-half-width-unbounded", "slits-c1-huge",
-        "registry-couplings-disagree"])
+        "registry-couplings-disagree", "run-tol-negative", "run-tol-nan", "run-tol-inf",
+        "slits-tol-nan", "slits-tol-negative", "atto-amplitudes-inf-over-inf",
+        "atto-amplitudes-inf-over-inf-wide"])
 def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
-    assert main(argv(tmp_path)) == 2
-    err = capsys.readouterr().err.splitlines()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv(tmp_path)) == 2
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
@@ -376,6 +391,15 @@ def test_number_that_is_not_a_number_exit_2_naming_its_field(argv, field, tmp_pa
 def test_atto_names_the_option_it_refuses(option, value, capsys):
     assert main(["atto", f"--{option}", value]) == 2
     assert capsys.readouterr().err == f"error: {option} must be a finite number, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["run", "slits"])
+def test_tol_refused_before_any_output(command, value, tmp_path, capsys):
+    argv = [command, write(tmp_path, "s.json", {"scenario": "lambda"})] if command == "run" else [command]
+    assert main(argv + ["--tol", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --tol must be ") and err.count("\n") == 1
 
 
 def test_secular_nan_level_refused_at_entry(tmp_path, capsys):
@@ -489,28 +513,21 @@ _SCRIPTS = st.fixed_dictionaries({
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(script=_SCRIPTS)
 def test_run_keeps_exit_code_contract(script):
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "s.json")
-        with open(path, "w") as fh:
-            json.dump(script, fh)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["run", path])
-    assert code in (0, 1, 2, 3)
-    if code == 2:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert _exit_code(["run"], script) in (0, 1, 2, 3)
 
 
 def _exit_code_of(argv):
     """Exit code of ``main(argv)``; an exit 2 must print exactly one
-    ``error:`` line."""
+    ``error:`` line and emit no warning."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert [str(w.message) for w in caught] == []
     return code
 
 
@@ -616,7 +633,6 @@ _SLITS_ARGV = st.tuples(
 ).map(lambda pair: ["slits", *_options({**pair[0], **pair[1]})])
 
 
-@pytest.mark.filterwarnings("ignore:comb width is not small")
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(argv=st.one_of(_ATTO_ARGV, _SLITS_ARGV))
 def test_atto_and_slits_keep_exit_code_contract(argv):

@@ -25,6 +25,8 @@ CASES = {
     "run-one-photon": ["run", "scenario_one_photon.json"],
     "run-one-photon-params": ["run", "scenario_one_photon_params.json"],
     "run-one-photon-channel": ["run", "scenario_one_photon_channel.json"],
+    "run-one-photon-filtered": ["run", "scenario_one_photon_filtered.json"],
+    "run-one-photon-undriven": ["run", "scenario_one_photon_undriven.json"],
     "run-stochastic-seeded": ["run", "stochastic_waits.json"],
     "run-stochastic-seed-flag": ["run", "stochastic_waits.json", "--seed", "11"],
     "basis-768": ["basis", "basis_768.json"],

@@ -75,7 +75,8 @@ def test_from_dict_matches_constructor(row, step):
 @pytest.mark.parametrize("row, message", [
     ([("kind", "wait")], "must be an object"),
     ({"kind": "wait", "params": [1.0]}, "params must be an object"),
-    ({"kind": "prepare", "params": {"element_index": 1}}, "unknown params key 'element_index'"),
+    ({"kind": "prepare", "params": {"element_index": 1}},
+     "unexpected keyword argument 'element_index'"),
     ({"kind": "erase", "params": {"indices": [1], "mode": "w"}}, "unexpected keyword"),
     ({"kind": "induce", "params": {"pairs": [[0, 1.0]]}}, "integer"),
     ({"kind": "laser_on", "params": {"mode": "w", "couplings": [[0, 1]], "duration": 1}},
@@ -107,7 +108,7 @@ class TestRunBasics:
     def test_unknown_mode_in_absorb(self):
         scn = lambda_scenario()
         with pytest.raises(ProtocolStepError, match="not present"):
-            run(scn.initial, [ProtocolStep.prepare(0, absorb_modes=["ghost"])])
+            run(scn.initial, [ProtocolStep.prepare(0, absorb=["ghost"])])
 
     def test_stochastic_requires_seed(self):
         scn = lambda_scenario()
