@@ -37,8 +37,8 @@ _GUISE_RANK = {PRODUCT: 0, ENTANGLED: 1}
 
 # The most elements ``enumerate_basis`` or ``attosecond_init`` builds, and the
 # most samples ``double_slit_pattern`` computes; a larger request is refused
-# before anything is allocated.  Building a basis peaks at about 1 kB per
-# element (measured at 21,168 elements), so a basis at the cap takes about 1 GB.
+# before anything is allocated.  A ``basis`` process peaks at about 1.7 kB per
+# element (600 MB at 360,000 elements, CPython 3.11), so a basis at the cap takes about 1.7 GB.
 MAX_BASIS_SIZE = 10**6
 
 # Trivial one-constituent partition used by single-system examples.
@@ -51,14 +51,11 @@ class BasisElement:
 
     ``en_labels`` assigns one EN label per partition block, in block order.
     ``photon_part`` lists (occupation, guise) pairs over distinct modes.
-    ``phase_dir`` is a +1/-1 incoming/outgoing tag (0 when unused); it is
-    metadata for momentum bookkeeping, never dynamics.
     """
 
     partition: PartitionScheme
     en_labels: tuple[ENLabel, ...]
     photon_part: tuple[tuple[FockLabel, Guise], ...] = ()
-    phase_dir: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "en_labels", tuple(self.en_labels))
@@ -74,8 +71,6 @@ class BasisElement:
         for _, guise in self.photon_part:
             if guise not in _GUISE_RANK:
                 raise ValueError(f"unknown guise {guise!r}")
-        if self.phase_dir not in (-1, 0, 1):
-            raise ValueError("phase_dir must be -1, 0 or +1")
 
     def occupations(self) -> dict[str, int]:
         return {f.mode.id: f.n for f, _ in self.photon_part}
@@ -88,7 +83,6 @@ class BasisElement:
             self.partition.id,
             tuple(l.key for l in self.en_labels),
             photon,
-            self.phase_dir,
         )
 
 
@@ -119,15 +113,8 @@ class Basis:
     def __iter__(self):
         return iter(self._elements)
 
-    def __contains__(self, e: BasisElement) -> bool:
-        return e in self._index
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Basis) and self._elements == other._elements
-
-    @property
-    def elements(self) -> tuple[BasisElement, ...]:
-        return self._elements
 
     def element_at(self, i: int) -> BasisElement:
         """The element at index i; a negative index is an error, never a wrap."""
@@ -159,7 +146,7 @@ class Basis:
                 [list(l.key) for l in e.en_labels],
                 sorted([[f.mode.id, f.n] for f, _ in e.photon_part]),
                 sorted([[f.mode.id, g] for f, g in e.photon_part]),
-                e.phase_dir,
+                0,  # a constant sixth column, kept so that listings keep their bytes
             ])
         return rows
 

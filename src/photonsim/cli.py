@@ -18,8 +18,8 @@ import numpy as np
 from . import scenarios
 from .basis import Basis, enumerate_basis
 from .dynamics import double_slit_pattern, hamiltonian_matrix, solve_secular, visibility
-from .labels import (CouplingModel, PartitionScheme, Registry, RegistryError, finite, json_rows,
-                     load_json, reading)
+from .labels import (CouplingModel, PartitionScheme, Registry, RegistryError, coupling_value,
+                     finite, json_rows, load_json, reading, tolerance)
 from .protocol import ProtocolStep, ProtocolStepError, check_templates, run
 from .qstate import QState, window_state
 from .spin import permute_labels, s_squared_matrix, singlet, spin_expectation, triplet
@@ -71,7 +71,7 @@ def _basis_from_config(cfg) -> Basis:
     partitions = []
     for what, row in json_rows(cfg, "partitions"):
         with reading(what):
-            partitions.append(PartitionScheme(id=str(row["id"]), blocks=row["blocks"]))
+            partitions.append(PartitionScheme(id=row["id"], blocks=row["blocks"]))
     if not partitions:
         raise RegistryError("config needs a non-empty 'partitions' array")
     mode_ids = cfg.get("basis_modes", sorted(registry.modes))
@@ -98,12 +98,6 @@ _SCENARIOS = {
 }
 
 
-def _tolerance(args) -> float:
-    if finite(args.tol, "--tol") < 0:
-        raise RegistryError(f"--tol must be >= 0, got {args.tol!r}")
-    return args.tol
-
-
 def _read_templates(rows) -> list[frozenset[int]]:
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and all(type(i) is int for i in row) for row in rows)):
@@ -112,7 +106,7 @@ def _read_templates(rows) -> list[frozenset[int]]:
 
 
 def cmd_run(args) -> int:
-    tol = _tolerance(args)
+    tol = tolerance(args.tol, "--tol")
     script = load_json(_resolve(args.script))
     scenario = isinstance(script, dict) and "scenario" in script
     script = _object(script, "script", _SCENARIO_REF_KEYS if scenario else _EXPLICIT_KEYS)
@@ -128,14 +122,15 @@ def cmd_run(args) -> int:
         models = None
     else:
         basis = _basis_from_config(script.get("basis_config"))
-        models = CouplingModel()
+        rows = []
         for what, row in json_rows(_object(script.get("models", {}), "models", ("couplings",)),
                                    "couplings"):
             with reading(what):
                 i, j = operator.index(row["i"]), operator.index(row["j"])
                 if not (0 <= i < len(basis) and 0 <= j < len(basis)):
                     raise RegistryError(f"drive pair ({i},{j}) outside basis of size {len(basis)}")
-                models.set_drive(i, j, row["value"])
+                rows.append((i, j, coupling_value(row["value"], f"drive coupling ({i},{j})")))
+        models = CouplingModel.from_rows(rows)
         init = _object(script.get("initial", {}), "initial", ("element",))
         if "element" in init:
             with reading("initial.element"):
@@ -246,7 +241,7 @@ def cmd_atto(args) -> int:
 
 def cmd_slits(args) -> int:
     x, intensity = double_slit_pattern(args.c1, args.c2, args.d, args.L, args.kappa, args.samples,
-                                       norm_tol=_tolerance(args))
+                                       norm_tol=tolerance(args.tol, "--tol"))
     lines = ["x,intensity"]
     for xi, ii in zip(x, intensity):
         lines.append(f"{_G(xi)},{_G(ii)}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import MAX_BASIS_SIZE, Basis
-from .labels import CouplingModel
+from .labels import CouplingModel, tolerance
 from .qstate import QState
 
 __all__ = [
@@ -33,6 +33,9 @@ __all__ = [
     "visibility",
     "fringe_half_width",
 ]
+
+_DEGENERACY_TOL = 1e-9
+
 
 def _require_hermitian(m: np.ndarray, what: str) -> None:
     scale = max(float(np.linalg.norm(m)), 1.0)
@@ -97,11 +100,10 @@ def _drive_block(levels: np.ndarray, cm: CouplingModel) -> tuple[np.ndarray, np.
     """Sorted indices with a nonzero drive term, and the Hamiltonian restricted
     to them: their levels on the diagonal, the drive terms off it.  Every
     drive pair, zero-valued ones too, must lie inside the levels."""
-    pairs = cm.drive_pairs
-    for i, j in pairs:
-        if not (0 <= i < len(levels) and 0 <= j < len(levels)):
+    for i, j, _ in cm.terms:
+        if i < 0 or j >= len(levels):
             raise ValueError(f"drive coupling ({i},{j}) outside basis of size {len(levels)}")
-    terms = [(i, j, v) for i, j in pairs if (v := cm.drive(i, j)) != 0]
+    terms = [(i, j, v) for i, j, v in cm.terms if v != 0]
     coupled = sorted({k for i, j, _ in terms for k in (i, j)})
     block = np.diag(levels[coupled].astype(np.complex128))
     for i, j, v in terms:
@@ -140,20 +142,19 @@ def propagate(s: QState, H: Hamiltonian | CouplingModel, dt: float) -> QState:
     return QState(s.basis, amps, s.time_tag + dt)
 
 
-def solve_secular(H: Hamiltonian | np.ndarray, anchor: float) -> SecularSolution:
+def solve_secular(matrix: np.ndarray, anchor: float) -> SecularSolution:
     """Eigendecomposition with the root chosen nearest the anchor level."""
-    matrix = H.matrix if isinstance(H, Hamiltonian) else np.asarray(H, dtype=np.complex128)
+    matrix = np.asarray(matrix, dtype=np.complex128)
     _require_hermitian(matrix, "secular matrix")
     w, v = _eigh(matrix)
     root = int(np.argmin(np.abs(w - anchor)))
     return SecularSolution(eigenvalues=w, eigenvectors=v, root_index=root)
 
 
-def perturbative_amplitudes(H: Hamiltonian | np.ndarray, root: int,
-                            degeneracy_tol: float = 1e-9) -> np.ndarray:
+def perturbative_amplitudes(matrix: np.ndarray, root: int) -> np.ndarray:
     """First-order amplitudes V_i,root / (E_root - E_i), 1 at the root;
     unnormalized.  Independent check for the secular root vector."""
-    matrix = H.matrix if isinstance(H, Hamiltonian) else np.asarray(H, dtype=np.complex128)
+    matrix = np.asarray(matrix, dtype=np.complex128)
     n = matrix.shape[0]
     e_root = matrix[root, root].real
     out = np.zeros(n, dtype=np.complex128)
@@ -162,9 +163,9 @@ def perturbative_amplitudes(H: Hamiltonian | np.ndarray, root: int,
         if i == root:
             continue
         gap = e_root - matrix[i, i].real
-        if abs(matrix[i, root]) > 0 and abs(gap) <= degeneracy_tol:
+        if abs(matrix[i, root]) > 0 and abs(gap) <= _DEGENERACY_TOL:
             raise ValueError(f"degenerate levels at indices {root} and {i}: gap {gap}")
-        if abs(gap) > degeneracy_tol:
+        if abs(gap) > _DEGENERACY_TOL:
             out[i] = matrix[i, root] / gap
     return out
 
@@ -205,7 +206,7 @@ def double_slit_pattern(C1: complex, C2: complex, d: float, L: float,
     maximum (x = 0) and minima (endpoints).  A geometry whose half-width,
     path lengths or phases kappa*r are not finite floats is refused.
     """
-    if not abs((abs(C1) * abs(C1) + abs(C2) * abs(C2)) - 1.0) <= norm_tol:
+    if not abs((abs(C1) * abs(C1) + abs(C2) * abs(C2)) - 1.0) <= tolerance(norm_tol, "norm_tol"):
         raise ValueError("|C1|^2 + |C2|^2 must be 1")
     if not all(0 < v < np.inf for v in (d, L, kappa)):
         raise ValueError("geometry parameters must be finite and positive")

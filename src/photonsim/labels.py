@@ -30,6 +30,7 @@ __all__ = [
     "json_rows",
     "load_json",
     "reading",
+    "tolerance",
 ]
 
 
@@ -59,6 +60,8 @@ class ModeLabel:
     direction: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"id must be a string, got {self.id!r}")
         if not (self.omega > 0.0) or not math.isfinite(self.omega):
             raise ValueError(f"mode {self.id!r}: omega must be finite and > 0, got {self.omega}")
         object.__setattr__(self, "direction", _unit(tuple(float(v) for v in self.direction)))
@@ -120,6 +123,8 @@ class PartitionScheme:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"id must be a string, got {self.id!r}")
         blocks = tuple(tuple(operator.index(i) for i in b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         flat = sorted(i for b in blocks for i in b)
@@ -137,12 +142,14 @@ class PartitionScheme:
         return len(self.blocks)
 
 
+@dataclass(frozen=True)
 class CouplingModel:
-    """Externally driven couplings between basis elements, by index pair,
-    kept Hermitian.  Absent entries mean zero (dark transitions)."""
+    """Externally driven couplings between basis elements: one term
+    ``(i, j, value)`` per pair, with ``i < j``, for the Hermitian pair of
+    entries H[i, j] = value and H[j, i] = conj(value).  Absent pairs mean zero
+    (dark transitions).  ``from_rows`` is the one constructor."""
 
-    def __init__(self):
-        self._drive: dict[tuple[int, int], complex] = {}
+    terms: tuple[tuple[int, int, complex], ...]
 
     @classmethod
     def from_rows(cls, rows: Sequence) -> "CouplingModel":
@@ -151,34 +158,19 @@ class CouplingModel:
         either orientation, takes the value of its last row."""
         if not isinstance(rows, (list, tuple)):
             raise RegistryError("couplings must be an array of rows")
-        cm = cls()
+        drive = {}
         for k, row in enumerate(rows):
             with reading(f"couplings[{k}]"):
                 if not (isinstance(row, (list, tuple)) and len(row) in (3, 4)
                         and not isinstance(row[2], (list, tuple))):
                     raise ValueError(f"a row must be [i, j, re] or [i, j, re, im], got {row!r}")
                 i, j, *v = row
-                cm.set_drive(operator.index(i), operator.index(j), v if len(v) == 2 else v[0])
-        return cm
-
-    def __eq__(self, other):
-        if not isinstance(other, CouplingModel):
-            return NotImplemented
-        return self._drive == other._drive
-
-    def set_drive(self, i: int, j: int, value) -> None:
-        if i == j:
-            raise ValueError(f"drive coupling ({i},{j}) must be off-diagonal")
-        value = coupling_value(value, f"drive coupling ({i},{j})")
-        self._drive[(i, j)] = value
-        self._drive[(j, i)] = value.conjugate()
-
-    def drive(self, i: int, j: int) -> complex:
-        return self._drive.get((i, j), 0.0 + 0.0j)
-
-    @property
-    def drive_pairs(self) -> list[tuple[int, int]]:
-        return sorted(p for p in self._drive if p[0] < p[1])
+                i, j = operator.index(i), operator.index(j)
+                if i == j:
+                    raise ValueError(f"drive coupling ({i},{j}) must be off-diagonal")
+                value = coupling_value(v if len(v) == 2 else v[0], f"drive coupling ({i},{j})")
+                drive[min(i, j), max(i, j)] = value if i < j else value.conjugate()
+        return cls(tuple((i, j, v) for (i, j), v in sorted(drive.items())))
 
 
 @dataclass
@@ -193,16 +185,6 @@ class Registry:
 
     levels: dict[tuple[int, int], ENLabel] = field(default_factory=dict)
     modes: dict[str, ModeLabel] = field(default_factory=dict)
-
-    def add_level(self, label: ENLabel) -> None:
-        if label.key in self.levels:
-            raise RegistryError(f"duplicate EN level (j={label.j}, k={label.k_sub})")
-        self.levels[label.key] = label
-
-    def add_mode(self, mode: ModeLabel) -> None:
-        if mode.id in self.modes:
-            raise RegistryError(f"duplicate mode id {mode.id!r}")
-        self.modes[mode.id] = mode
 
     def level(self, j: int, k_sub: int = 0) -> ENLabel:
         try:
@@ -223,13 +205,19 @@ class Registry:
         reg = cls()
         for what, row in json_rows(data, "levels"):
             with reading(what):
-                reg.add_level(ENLabel(j=operator.index(row["j"]), k_sub=operator.index(row.get("k", 0)),
-                                      energy=finite(row["energy"], "energy")))
+                label = ENLabel(j=operator.index(row["j"]), k_sub=operator.index(row.get("k", 0)),
+                                energy=finite(row["energy"], "energy"))
+                if label.key in reg.levels:
+                    raise RegistryError(f"duplicate EN level (j={label.j}, k={label.k_sub})")
+                reg.levels[label.key] = label
         for what, row in json_rows(data, "modes"):
             with reading(what):
                 direction = tuple(finite(v, "dir") for v in row.get("dir", (1.0, 0.0, 0.0)))
-                reg.add_mode(ModeLabel(id=str(row["id"]), omega=finite(row["omega"], "omega"),
-                                       direction=direction))
+                mode = ModeLabel(id=row["id"], omega=finite(row["omega"], "omega"),
+                                 direction=direction)
+                if mode.id in reg.modes:
+                    raise RegistryError(f"duplicate mode id {mode.id!r}")
+                reg.modes[mode.id] = mode
         transitions = {}
         for what, row in json_rows(data, "couplings"):
             with reading(what):
@@ -260,6 +248,13 @@ def finite(value, what: str) -> float:
         if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
             return float(value)
     raise RegistryError(f"{what} must be a finite number, got {value!r}")
+
+
+def tolerance(value, what: str) -> float:
+    """``value`` as a finite float >= 0; anything else is refused."""
+    if finite(value, what) < 0:
+        raise RegistryError(f"{what} must be >= 0, got {value!r}")
+    return float(value)
 
 
 def coupling_value(value, what: str = "coupling value") -> complex:

@@ -250,7 +250,7 @@ def run(
             elif step.kind == "laser_on":
                 _mode(p["mode"])
                 # A step without couplings of its own takes the drive terms of the run's models.
-                cm = p["couplings"] if p["couplings"].drive_pairs or models is None else models
+                cm = p["couplings"] if p["couplings"].terms or models is None else models
                 state = propagate(state, cm, p["duration"])
             elif step.kind == "wait":
                 if mode == "stochastic" and p["rate"] is not None:

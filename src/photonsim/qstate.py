@@ -8,13 +8,14 @@ amplitude-squared bookkeeping is exact by construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .basis import Basis, BasisElement, element_level
-from .labels import ModeLabel
+from .labels import ModeLabel, tolerance
 
 __all__ = [
     "DEFAULT_RESONANCE_TOL",
@@ -64,15 +65,14 @@ class QState:
 @dataclass(frozen=True)
 class EmissionRecord:
     """A photon branch detached from the working basis: mode, propagation
-    direction, detection anchor R, the carried amplitude and the emitting /
-    landing basis indices."""
+    direction, detection anchor R, the carried amplitude and the emitting
+    basis index."""
 
     mode: ModeLabel
     direction: tuple[float, float, float]
     location_R: tuple[float, float, float]
     amplitude: complex
     source_index: int
-    target_index: int
 
 
 def window_state(b: Basis, e: BasisElement, time_tag: float = 0.0) -> QState:
@@ -85,7 +85,7 @@ def window_state(b: Basis, e: BasisElement, time_tag: float = 0.0) -> QState:
 def erase(s: QState, indices: Iterable[int], renormalize: bool = False) -> QState:
     """Zero the amplitudes at the given indices; the basis is untouched
     (a response is erased, never a base state)."""
-    idx = sorted(set(int(i) for i in indices))
+    idx = sorted(set(operator.index(i) for i in indices))
     if idx and (idx[0] < 0 or idx[-1] >= len(s.basis)):
         raise IndexError(f"erase index out of range for basis of size {len(s.basis)}")
     amps = s.amps.copy()
@@ -96,8 +96,7 @@ def erase(s: QState, indices: Iterable[int], renormalize: bool = False) -> QStat
 
 def support(s: QState, tol: float = DEFAULT_SUPPORT_TOL) -> frozenset[int]:
     """Indices carrying amplitude above tol; the zero-vs-C pattern."""
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    tol = tolerance(tol, "tol")
     return frozenset(int(i) for i in np.nonzero(np.abs(s.amps) > tol)[0])
 
 
@@ -128,12 +127,12 @@ def _emitted_mode(emit: BasisElement, target: BasisElement) -> ModeLabel:
 
 def decohere(
     s: QState,
-    emit_index: int,
-    target_index: int,
+    emit: int,
+    target: int,
     R: tuple[float, float, float] = (0.0, 0.0, 0.0),
     renormalize: bool = False,
 ) -> tuple[QState, EmissionRecord]:
-    """Detach the amplitude at emit_index as an emitted-photon branch.
+    """Detach the amplitude at index ``emit`` as an emitted-photon branch.
 
     The emitting element must hold one more photon than the target in exactly
     one mode; that quantum goes into the EmissionRecord together with the full
@@ -142,11 +141,11 @@ def decohere(
     landed on the target element and the residual renormalized, giving the
     post-emission material state.
     """
-    emit_el = s.basis.element_at(emit_index)
-    target_el = s.basis.element_at(target_index)
-    amp = complex(s.amps[emit_index])
+    emit_el = s.basis.element_at(emit)
+    target_el = s.basis.element_at(target)
+    amp = complex(s.amps[emit])
     if abs(amp) <= DEFAULT_SUPPORT_TOL:
-        raise ValueError(f"emit index {emit_index} is not in the coherence support")
+        raise ValueError(f"emit index {emit} is not in the coherence support")
     mode = _emitted_mode(emit_el, target_el)
     gap = element_level(emit_el) - element_level(target_el)
     if abs(gap - mode.omega) > DEFAULT_RESONANCE_TOL:
@@ -154,18 +153,17 @@ def decohere(
             f"emission energy mismatch: level gap {gap} != omega {mode.omega} of mode {mode.id!r}"
         )
     amps = s.amps.copy()
-    amps[emit_index] = 0.0
+    amps[emit] = 0.0
     record = EmissionRecord(
         mode=mode,
         direction=mode.direction,
         location_R=tuple(float(r) for r in R),
         amplitude=amp,
-        source_index=emit_index,
-        target_index=target_index,
+        source_index=emit,
     )
     residual = QState(s.basis, amps, s.time_tag)
     if renormalize:
         amps = residual.amps.copy()
-        amps[target_index] += amp
+        amps[target] += amp
         residual = QState(s.basis, amps, s.time_tag).normalized()
     return residual, record

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     basis: Basis
     initial: QState
     steps: tuple[ProtocolStep, ...]
     templates: tuple[frozenset[int], ...]
-    named_elements: dict = field(default_factory=dict)
+    named_elements: dict
 
     def index(self, name: str) -> int:
         return self.basis.index(self.named_elements[name])
@@ -56,7 +55,7 @@ def _scenario(name: str, named: dict, metadata: dict, script) -> Scenario:
     ix = {k: basis.index(v) for k, v in named.items()}
     steps, supports = zip(*script(ix))
     templates = [frozenset()] + [frozenset(map(ix.__getitem__, names.split())) for names in supports]
-    return Scenario(name, basis, QState(basis, np.zeros(len(basis), dtype=np.complex128)),
+    return Scenario(basis, QState(basis, np.zeros(len(basis), dtype=np.complex128)),
                     steps, tuple(templates), named)
 
 

@@ -66,12 +66,10 @@ class TestBasisElement:
         c = BasisElement(SINGLE_PARTITE, (ENLabel(0, 0, 0.0),), ((FockLabel(m, 1), ENTANGLED),))
         assert a == b and a != c
 
-    def test_unknown_guise_and_phase_dir_rejected(self):
+    def test_unknown_guise_rejected(self):
         photon = ((FockLabel(ModeLabel("w", 1.0), 1), "bound"),)
         with pytest.raises(ValueError, match="unknown guise 'bound'"):
             BasisElement(SINGLE_PARTITE, (ENLabel(0, 0, 0.0),), photon)
-        with pytest.raises(ValueError, match="phase_dir"):
-            BasisElement(SINGLE_PARTITE, (ENLabel(0, 0, 0.0),), phase_dir=2)
 
 
 class TestEnumerateBasis:
@@ -103,7 +101,7 @@ class TestEnumerateBasis:
     def test_no_duplicates(self, pair_registry):
         b = enumerate_basis(pair_registry, [SINGLE_PARTITE],
                             [pair_registry.mode("w")], n_max=2)
-        assert len(set(b.elements)) == len(b)
+        assert len(set(b)) == len(b)
 
     def test_chromophore_configuration_contains_channel_elements(self):
         reg = Registry.from_dict({
@@ -188,10 +186,10 @@ class TestCanonicalOrder:
     def test_order_independent_of_construction(self, pair_registry):
         b = enumerate_basis(pair_registry, [SINGLE_PARTITE],
                             [pair_registry.mode("w")], n_max=1)
-        shuffled = list(b.elements)
+        shuffled = list(b)
         random.Random(7).shuffle(shuffled)
         b2 = Basis(shuffled, metadata=b.metadata)
-        assert b.elements == b2.elements
+        assert tuple(b) == tuple(b2)
         assert b.to_json() == b2.to_json()
 
     def test_serialization_deterministic(self, pair_registry):

@@ -308,6 +308,8 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
     lambda tmp_path: ["slits", "--tol", "-1"],
     lambda tmp_path: ["atto", "--center", "1e300", "--spacing", "1e200", "--width", "1e200"],
     lambda tmp_path: ["atto", "--center", "1e300", "--spacing", "1e200", "--width", "1e300"],
+    _basis_config(modes=[{"id": None, "omega": 1.0}]),
+    _basis_config(partitions=[{"id": 7, "blocks": [[1]]}]),
 ], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative",
         "expect-not-a-list", "wait-inf", "wait-nan", "laser-duration-nan",
         "laser-coupling-nan", "decohere-R-short", "decohere-R-long", "decohere-R-nan",
@@ -333,7 +335,7 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
         "slits-L-huge", "slits-half-width-unbounded", "slits-c1-huge",
         "registry-couplings-disagree", "run-tol-negative", "run-tol-nan", "run-tol-inf",
         "slits-tol-nan", "slits-tol-negative", "atto-amplitudes-inf-over-inf",
-        "atto-amplitudes-inf-over-inf-wide"])
+        "atto-amplitudes-inf-over-inf-wide", "mode-id-null", "partition-id-number"])
 def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,7 @@ class TestHamiltonian:
             Hamiltonian(two_level, np.zeros((3, 3), dtype=complex))
 
     def test_build_diagonal_from_levels(self, two_level):
-        H = dense(two_level, CouplingModel())
+        H = dense(two_level, CouplingModel.from_rows([]))
         assert np.allclose(np.diag(H.matrix), [1.0, 1.0])
         assert np.count_nonzero(H.matrix - np.diag(np.diag(H.matrix))) == 0
 
@@ -114,7 +116,7 @@ class TestHamiltonian:
             "modes": [{"id": "w", "omega": 1.0}],
         })
         b = enumerate_basis(reg, [SINGLE_PARTITE], [reg.mode("w")], n_max=1)
-        H = dense(b, CouplingModel())
+        H = dense(b, CouplingModel.from_rows([]))
         # diagonal equals element levels, all real
         assert np.allclose(np.diag(H.matrix).imag, 0.0)
 
@@ -122,11 +124,11 @@ class TestHamiltonian:
 class TestPropagate:
     def test_dt_zero_is_identity(self, two_level):
         s = window_state(two_level, two_level.element_at(0))
-        out = propagate(s, dense(two_level, CouplingModel()), 0.0)
+        out = propagate(s, dense(two_level, CouplingModel.from_rows([])), 0.0)
         assert np.allclose(out.amps, s.amps, atol=1e-14)
 
     def test_diagonal_closed_form(self, two_level):
-        H = dense(two_level, CouplingModel())
+        H = dense(two_level, CouplingModel.from_rows([]))
         amps = np.array([0.6, 0.8], dtype=complex)
         out = propagate(QState(two_level, amps), H, 0.7)
         assert np.allclose(out.amps, amps * np.exp(-1j * 1.0 * 0.7), atol=1e-12)
@@ -141,7 +143,7 @@ class TestPropagate:
         assert abs(out.amps[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_time_tag_advances(self, two_level):
-        H = dense(two_level, CouplingModel())
+        H = dense(two_level, CouplingModel.from_rows([]))
         s = window_state(two_level, two_level.element_at(0))
         assert propagate(s, H, 0.3).time_tag == pytest.approx(0.3)
 
@@ -149,7 +151,7 @@ class TestPropagate:
         other = Basis([BasisElement(SINGLE_PARTITE, (ENLabel(5, 0, 0.0),))])
         s = window_state(other, other.element_at(0))
         with pytest.raises(ValueError, match="different bases"):
-            propagate(s, dense(two_level, CouplingModel()), 0.1)
+            propagate(s, dense(two_level, CouplingModel.from_rows([])), 0.1)
 
     @pytest.mark.parametrize("dt", [np.inf, np.nan])
     def test_non_finite_dt_rejected(self, two_level, dt):
@@ -299,6 +301,11 @@ class TestDoubleSlit:
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(ValueError, match="must be 1"):
             double_slit_pattern(1.0, 1.0, d=5.0, L=100.0, kappa=2.0, samples=11)
+
+    @pytest.mark.parametrize("norm_tol", [math.nan, math.inf, -1.0, True])
+    def test_norm_tol_must_be_a_finite_number_at_least_0(self, norm_tol):
+        with pytest.raises(ValueError, match="norm_tol must be"):
+            double_slit_pattern(1.0, 0.0, d=5.0, L=100.0, kappa=2.0, samples=11, norm_tol=norm_tol)
 
     def test_sample_count_cap_is_exact(self, monkeypatch):
         monkeypatch.setattr(dynamics_module, "MAX_BASIS_SIZE", 11)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -100,6 +101,10 @@ class TestPartitionScheme:
         with pytest.raises(ValueError):
             PartitionScheme("bad", ((1, 2), (2, 3)))
 
+    def test_id_must_be_a_string(self):
+        with pytest.raises(ValueError, match="id must be a string, got 7"):
+            PartitionScheme(7, ((1,),))
+
     def test_gap_rejected(self):
         with pytest.raises(ValueError):
             PartitionScheme("bad", ((1,), (3,)))
@@ -107,26 +112,31 @@ class TestPartitionScheme:
 
 class TestCouplingModel:
     def test_absent_entry_is_zero(self):
-        assert CouplingModel.from_rows([[0, 1, 0.3]]).drive(0, 2) == 0.0
+        assert CouplingModel.from_rows([[0, 1, 0.3]]).terms == ((0, 1, 0.3),)
+        assert CouplingModel.from_rows([]).terms == ()
 
-    def test_drive_pairs_hermitian(self):
-        cm = CouplingModel.from_rows([[0, 1, 0.0, 1.0]])
-        assert cm.drive(1, 0) == -1j
-        assert cm.drive_pairs == [(0, 1)]
+    def test_one_term_per_pair_with_i_below_j(self):
+        cm = CouplingModel.from_rows([[1, 0, 0.0, 1.0], [2, 0, 0.5]])
+        assert cm.terms == ((0, 1, -1j), (0, 2, 0.5))
 
     def test_diagonal_drive_rejected(self):
-        cm = CouplingModel()
-        with pytest.raises(ValueError):
-            cm.set_drive(2, 2, 1.0)
+        with pytest.raises(ValueError, match=r"couplings\[0\]: drive coupling \(2,2\) must be off-diagonal"):
+            CouplingModel.from_rows([[2, 2, 1.0]])
 
     def test_from_rows_last_row_of_a_pair_wins(self):
         cm = CouplingModel.from_rows([[0, 1, 0.1], [1, 0, 0.2, 0.3], [0, 1, 0.4]])
-        assert cm.drive(0, 1) == 0.4 and cm.drive(1, 0) == 0.4
+        assert cm.terms == ((0, 1, 0.4),)
         assert cm == CouplingModel.from_rows([[1, 0, 0.4]])
         assert cm != CouplingModel.from_rows([[0, 1, 0.2, -0.3]])
 
     def test_never_equal_to_another_type(self):
-        assert CouplingModel() != {}
+        assert CouplingModel.from_rows([]) != {}
+
+    def test_built_model_cannot_be_mutated(self):
+        cm = CouplingModel.from_rows([[0, 1, 0.3]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cm.terms = ()
+        assert cm.terms == ((0, 1, 0.3),)
 
 
 class TestCouplingValue:
@@ -198,6 +208,11 @@ class TestRegistry:
                            {"j": 0, "k": 0, "energy": 1.0}]}
         with pytest.raises(RegistryError, match="duplicate"):
             Registry.from_dict(data)
+
+    @pytest.mark.parametrize("mode_id", [None, 7])
+    def test_mode_id_must_be_a_string(self, mode_id):
+        with pytest.raises(RegistryError, match=rf"modes\[0\]: id must be a string, got {mode_id}"):
+            Registry.from_dict({"modes": [{"id": mode_id, "omega": 1.0}]})
 
     def test_config_must_be_an_object(self):
         with pytest.raises(RegistryError, match="config must be an object"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +99,11 @@ class TestErase:
         with pytest.raises(IndexError):
             erase(s, [len(lam.basis)])
 
+    def test_fractional_index_rejected(self, lam):
+        s = window_state(lam.basis, lam.named_elements["root_in"])
+        with pytest.raises(TypeError):
+            erase(s, [1.7])
+
     @given(st.sets(st.integers(min_value=0, max_value=9)), st.integers(0, 2 ** 31))
     def test_idempotent_and_support_monotone(self, indices, seed):
         lam = lambda_scenario()
@@ -120,6 +127,12 @@ class TestSupport:
         s = window_state(lam.basis, lam.named_elements["root_in"])
         with pytest.raises(ValueError):
             support(s, tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, True])
+    def test_tol_must_be_a_finite_number_at_least_0(self, lam, tol):
+        s = window_state(lam.basis, lam.named_elements["root_in"])
+        with pytest.raises(ValueError, match="tol must be"):
+            support(s, tol)
 
     def test_partial_pattern(self, lam):
         amps = np.zeros(len(lam.basis), dtype=complex)
