@@ -93,10 +93,17 @@ def element_level(e: BasisElement) -> float:
 
 class Basis:
     """An ordered, duplicate-free set of basis elements with a canonical total
-    order, so indices are stable across runs and construction orders."""
+    order, so indices are stable across runs and construction orders.
+    Elements are deduplicated by ``sort_key``; two different elements with one
+    key would have no such order, so they are refused."""
 
     def __init__(self, elements: Iterable[BasisElement], metadata: dict | None = None):
-        elems = sorted(set(elements), key=BasisElement.sort_key)
+        by_key: dict[tuple, BasisElement] = {}
+        for e in elements:
+            first = by_key.setdefault(key := e.sort_key(), e)
+            if first is not e and first != e:
+                raise ValueError(f"two basis elements share the canonical key {key}")
+        elems = [by_key[k] for k in sorted(by_key)]
         if not elems:
             raise ValueError("basis must contain at least one element")
         ms = {e.partition.m for e in elems}

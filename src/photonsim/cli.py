@@ -2,7 +2,7 @@
 
 Subcommands: basis, run, secular, spin, atto, slits.
 Exit codes: 0 success/match, 1 template mismatch, 2 input error, 3 runtime
-step failure.  Numeric output carries 12 significant digits.  Subcommands
+step failure.  Numbers are printed by ``labels.fmt``.  Subcommands
 raise; ``main`` alone turns an error into its exit code and one stderr line.
 """
 
@@ -19,7 +19,7 @@ from . import scenarios
 from .basis import Basis, enumerate_basis
 from .dynamics import double_slit_pattern, hamiltonian_matrix, solve_secular, visibility
 from .labels import (CouplingModel, PartitionScheme, Registry, RegistryError, coupling_value,
-                     finite, json_rows, load_json, reading, tolerance)
+                     finite, fmt, json_rows, load_json, reading, tolerance)
 from .protocol import ProtocolStep, ProtocolStepError, check_templates, run
 from .qstate import QState, window_state
 from .spin import permute_labels, s_squared_matrix, singlet, spin_expectation, triplet
@@ -28,8 +28,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_STEP = 3
-
-_G = "{:.12g}".format
 
 
 def _config_dir() -> str:
@@ -186,15 +184,15 @@ def cmd_secular(args) -> int:
     sol = solve_secular(H, anchor)
     mags = np.abs(sol.root_vector)
 
-    lines = ["eigenvalues: " + " ".join(_G(x) for x in sol.eigenvalues)]
-    lines.append("root: eigenvalue " + _G(sol.root_value) + f" (anchor {_G(anchor)})")
-    lines.append("|C|: " + " ".join(_G(x) for x in mags))
+    lines = ["eigenvalues: " + " ".join(fmt(x) for x in sol.eigenvalues)]
+    lines.append("root: eigenvalue " + fmt(sol.root_value) + f" (anchor {fmt(anchor)})")
+    lines.append("|C|: " + " ".join(fmt(x) for x in mags))
     order = list(np.argsort(-mags))
     lines.append("argsort |C| (descending): " + " ".join(str(i) for i in order))
     if n >= 4:
         if mags[3] > 0:
             ratio = mags[2] / mags[3]
-            lines.append("ratio |C2|/|C3|: " + _G(ratio))
+            lines.append("ratio |C2|/|C3|: " + fmt(ratio))
         else:
             ratio = None
             lines.append("ratio |C2|/|C3|: N/A")
@@ -202,7 +200,7 @@ def cmd_secular(args) -> int:
             lines.append("verdict: N/A (zero couplings)")
         else:
             ok = order[:3] == [1, 2, 3] and ratio >= threshold
-            lines.append(f"verdict: {'PASS' if ok else 'FAIL'} (threshold {_G(threshold)})")
+            lines.append(f"verdict: {'PASS' if ok else 'FAIL'} (threshold {fmt(threshold)})")
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -215,7 +213,7 @@ def cmd_spin(args) -> int:
     for name, f in funcs:
         flipped = permute_labels(f, "both")
         sign = "-" if np.allclose(flipped.total, -f.total) else "+"
-        lines.append(f"{name}: {f.pretty()}  <S^2>={_G(spin_expectation(f, s2))}  "
+        lines.append(f"{name}: {f.pretty()}  <S^2>={fmt(spin_expectation(f, s2))}  "
                      f"permutation parity {sign}")
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -234,7 +232,7 @@ def cmd_atto(args) -> int:
     state = scenarios.attosecond_init(center, args.width, spacing, args.harmonics, reg)
     lines = ["basis_index,re,im"]
     for i, a in enumerate(state.amps):
-        lines.append(f"{i},{_G(a.real)},{_G(a.imag)}")
+        lines.append(f"{i},{fmt(a.real)},{fmt(a.imag)}")
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -244,9 +242,9 @@ def cmd_slits(args) -> int:
                                        norm_tol=tolerance(args.tol, "--tol"))
     lines = ["x,intensity"]
     for xi, ii in zip(x, intensity):
-        lines.append(f"{_G(xi)},{_G(ii)}")
+        lines.append(f"{fmt(xi)},{fmt(ii)}")
     _write_out("\n".join(lines) + "\n", args.out)
-    print("visibility: " + _G(visibility(args.c1, args.c2)), file=sys.stderr)
+    print("visibility: " + fmt(visibility(args.c1, args.c2)), file=sys.stderr)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ so a step costs O(n + k^3) for k coupled elements and no n x n matrix exists.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -37,10 +38,18 @@ __all__ = [
 _DEGENERACY_TOL = 1e-9
 
 
-def _require_hermitian(m: np.ndarray, what: str) -> None:
+def _hermitian(matrix, what: str) -> np.ndarray:
+    """``matrix`` as a complex array; refused unless it is 2-D, square,
+    non-empty, finite and Hermitian."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{what} must be a non-empty square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} must be finite")
     scale = max(float(np.linalg.norm(m)), 1.0)
     if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
         raise ValueError(f"{what} must be Hermitian")
+    return m
 
 
 @dataclass(frozen=True)
@@ -49,11 +58,10 @@ class Hamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = _hermitian(self.matrix, "Hamiltonian")
         n = len(self.basis)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} != basis size {n}")
-        _require_hermitian(m, "Hamiltonian")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -144,8 +152,7 @@ def propagate(s: QState, H: Hamiltonian | CouplingModel, dt: float) -> QState:
 
 def solve_secular(matrix: np.ndarray, anchor: float) -> SecularSolution:
     """Eigendecomposition with the root chosen nearest the anchor level."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    _require_hermitian(matrix, "secular matrix")
+    matrix = _hermitian(matrix, "secular matrix")
     w, v = _eigh(matrix)
     root = int(np.argmin(np.abs(w - anchor)))
     return SecularSolution(eigenvalues=w, eigenvectors=v, root_index=root)
@@ -154,8 +161,11 @@ def solve_secular(matrix: np.ndarray, anchor: float) -> SecularSolution:
 def perturbative_amplitudes(matrix: np.ndarray, root: int) -> np.ndarray:
     """First-order amplitudes V_i,root / (E_root - E_i), 1 at the root;
     unnormalized.  Independent check for the secular root vector."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    n = matrix.shape[0]
+    matrix = _hermitian(matrix, "secular matrix")
+    n = len(matrix)
+    root = operator.index(root)
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} outside {n} levels")
     e_root = matrix[root, root].real
     out = np.zeros(n, dtype=np.complex128)
     out[root] = 1.0

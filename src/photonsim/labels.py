@@ -27,6 +27,7 @@ __all__ = [
     "coupling_value",
     "finite",
     "flag",
+    "fmt",
     "json_rows",
     "load_json",
     "reading",
@@ -248,6 +249,12 @@ def finite(value, what: str) -> float:
         if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
             return float(value)
     raise RegistryError(f"{what} must be a finite number, got {value!r}")
+
+
+def fmt(x: float) -> str:
+    """``x`` as every output prints a number: 12 significant digits, and
+    adding 0.0 turns a negative zero into 0."""
+    return f"{x + 0.0:.12g}"
 
 
 def tolerance(value, what: str) -> float:

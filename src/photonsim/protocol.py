@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import propagate
-from .labels import CouplingModel, finite, flag
+from .labels import CouplingModel, finite, flag, fmt
 from .qstate import (
     DEFAULT_SUPPORT_TOL,
     EmissionRecord,
@@ -71,7 +71,6 @@ class ProtocolStep:
 
     kind: str
     params: dict = field(default_factory=dict)
-    annotation: str = ""
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -81,7 +80,8 @@ class ProtocolStep:
     def from_dict(cls, row: dict) -> "ProtocolStep":
         """Build a step from its script form ``{"kind": ..., "params": {...}}``.
         The constructors are the schema: ``params`` are the keyword arguments
-        of the one of that kind.  A malformed row raises ``ProtocolError``."""
+        of the one of that kind, and an optional ``annotation`` string, which
+        is checked and dropped.  A malformed row raises ``ProtocolError``."""
         if not isinstance(row, dict):
             raise ProtocolError("a step must be an object")
         kind = row.get("kind")
@@ -90,18 +90,21 @@ class ProtocolStep:
         params = row.get("params", {})
         if not isinstance(params, dict):
             raise ProtocolError(f"{kind}: params must be an object")
+        params = dict(params)
+        if not isinstance(params.pop("annotation", ""), str):
+            raise ProtocolError(f"{kind}: annotation must be a string")
         try:
             return getattr(cls, kind)(**params)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"{kind}: {exc}") from None
 
     @classmethod
-    def prepare(cls, element: int, absorb: Sequence[str] = (), annotation: str = ""):
-        return cls("prepare", {"element": operator.index(element), "absorb": _absorbed(absorb)}, annotation)
+    def prepare(cls, element: int, absorb: Sequence[str] = ()):
+        return cls("prepare", {"element": operator.index(element), "absorb": _absorbed(absorb)})
 
     @classmethod
     def laser_on(cls, mode: str, couplings: Sequence[tuple[int, int, complex]],
-                 duration: float, absorb: Sequence[str] = (), annotation: str = ""):
+                 duration: float, absorb: Sequence[str] = ()):
         """Coupling rows as read by ``CouplingModel.from_rows``."""
         if not isinstance(mode, str):
             raise ProtocolError("mode must be a mode id")
@@ -112,50 +115,54 @@ class ProtocolStep:
             "couplings": CouplingModel.from_rows(couplings),
             "duration": float(duration),
             "absorb": _absorbed(absorb),
-        }, annotation)
+        })
 
     @classmethod
-    def wait(cls, duration: float | None = None, rate: float | None = None, annotation: str = ""):
+    def wait(cls, duration: float | None = None, rate: float | None = None):
         if duration is None and rate is None:
             raise ProtocolError("wait needs a duration or a lifetime rate")
         if duration is not None and finite(duration, "duration") < 0:
             raise ProtocolError("duration must be non-negative")
         if rate is not None and finite(rate, "rate") <= 0:
             raise ProtocolError("lifetime rate must be positive")
-        return cls("wait", {"duration": duration, "rate": rate}, annotation)
+        return cls("wait", {"duration": duration, "rate": rate})
 
     @classmethod
-    def induce(cls, pairs: Sequence[tuple[int, int]], annotation: str = ""):
-        return cls("induce", {"pairs": [(operator.index(i), operator.index(j)) for i, j in pairs]},
-                   annotation)
+    def induce(cls, pairs: Sequence[tuple[int, int]]):
+        return cls("induce", {"pairs": [(operator.index(i), operator.index(j)) for i, j in pairs]})
 
     @classmethod
-    def erase(cls, indices: Iterable[int], renormalize: bool = False, annotation: str = ""):
+    def erase(cls, indices: Iterable[int], renormalize: bool = False):
         return cls("erase", {"indices": sorted(operator.index(i) for i in indices),
-                             "renormalize": flag(renormalize, "renormalize")}, annotation)
+                             "renormalize": flag(renormalize, "renormalize")})
 
     @classmethod
     def decohere(cls, emit: int, target: int, R: tuple[float, float, float] = (0.0, 0.0, 0.0),
-                 renormalize: bool = False, annotation: str = ""):
+                 renormalize: bool = False):
         R = tuple(finite(r, "R") for r in R)
         if len(R) != 3:
             raise ProtocolError("R must be 3 finite numbers")
         return cls("decohere", {"emit": operator.index(emit), "target": operator.index(target),
-                                "R": R, "renormalize": flag(renormalize, "renormalize")}, annotation)
+                                "R": R, "renormalize": flag(renormalize, "renormalize")})
 
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """The snapshot after step ``step_no`` (0 is the initial state): the state,
+    the emission of that step alone (``None`` if it emitted nothing) and the
+    cumulative momentum ledger."""
+
     step_no: int
     kind: str
     state: QState
-    emissions: tuple[EmissionRecord, ...]
+    emission: EmissionRecord | None
     momentum: tuple[float, float, float]
 
 
 class Trace:
     """Immutable record of a protocol run: one entry per step plus the initial
-    snapshot; entry k holds the cumulative emissions and momentum ledger."""
+    snapshot; each entry holds its own step's emission and the cumulative
+    momentum ledger."""
 
     def __init__(self, entries: Sequence[TraceEntry]):
         self.entries: tuple[TraceEntry, ...] = tuple(entries)
@@ -169,7 +176,8 @@ class Trace:
 
     @property
     def emissions(self) -> tuple[EmissionRecord, ...]:
-        return self.final.emissions
+        """Every emission of the run, in step order."""
+        return tuple(e.emission for e in self.entries if e.emission)
 
     @property
     def momentum(self) -> tuple[float, float, float]:
@@ -177,31 +185,21 @@ class Trace:
 
     def to_csv(self) -> str:
         """Deterministic trace listing: amplitude rows, emission rows and a
-        momentum row per entry.  Numbers carry 12 significant digits; adding
-        0.0 turns a negative zero into 0."""
-        g = lambda x: f"{x + 0.0:.12g}"
+        momentum row per entry, numbers written by ``fmt``."""
         lines = ["row,step_no,time_tag,basis_index,re,im,mode,Rx,Ry,Rz,px,py,pz"]
-        seen_emissions = 0
         for e in self.entries:
-            t = g(e.state.time_tag)
+            t = fmt(e.state.time_tag)
             for i, a in enumerate(e.state.amps.tolist()):
-                lines.append(f"amp,{e.step_no},{t},{i},{g(a.real)},{g(a.imag)},,,,,,,")
-            for rec in e.emissions[seen_emissions:]:
+                lines.append(f"amp,{e.step_no},{t},{i},{fmt(a.real)},{fmt(a.imag)},,,,,,,")
+            if rec := e.emission:
                 lines.append(
-                    f"emit,{e.step_no},{t},{rec.source_index},{g(rec.amplitude.real)},"
-                    f"{g(rec.amplitude.imag)},{rec.mode.id},"
-                    f"{g(rec.location_R[0])},{g(rec.location_R[1])},{g(rec.location_R[2])},,,"
+                    f"emit,{e.step_no},{t},{rec.source_index},{fmt(rec.amplitude.real)},"
+                    f"{fmt(rec.amplitude.imag)},{rec.mode.id},"
+                    f"{fmt(rec.location_R[0])},{fmt(rec.location_R[1])},{fmt(rec.location_R[2])},,,"
                 )
-            seen_emissions = len(e.emissions)
             px, py, pz = e.momentum
-            lines.append(f"momentum,{e.step_no},{t},,,,,,,,{g(px)},{g(py)},{g(pz)}")
+            lines.append(f"momentum,{e.step_no},{t},,,,,,,,{fmt(px)},{fmt(py)},{fmt(pz)}")
         return "\n".join(lines) + "\n"
-
-
-def _swap(state: QState, i: int, j: int) -> QState:
-    amps = state.amps.copy()
-    amps[[i, j]] = amps[[j, i]]
-    return QState(state.basis, amps, state.time_tag)
 
 
 def run(
@@ -228,22 +226,18 @@ def run(
     basis = initial.basis
     n = len(basis)
     state = initial
-    emissions: list[EmissionRecord] = []
     ledger = np.zeros(3)
-    entries = [TraceEntry(0, "initial", state, (), tuple(ledger))]
-
-    modes = {}  # each mode id is looked up in the basis once per run
+    entries = [TraceEntry(0, "initial", state, None, tuple(ledger))]
 
     def _mode(mid: str):
-        if mid not in modes:
-            modes[mid] = next((fock.mode for el in basis for fock, _ in el.photon_part
-                               if fock.mode.id == mid), None)
-        if modes[mid] is None:
+        mode = next((f.mode for el in basis for f, _ in el.photon_part if f.mode.id == mid), None)
+        if mode is None:
             raise ProtocolError(f"mode {mid!r} not present in basis")
-        return modes[mid]
+        return mode
 
     for step_no, step in enumerate(steps, 1):
         p = step.params
+        rec = None
         try:
             if step.kind == "prepare":
                 state = window_state(basis, basis.element_at(p["element"]), state.time_tag)
@@ -261,22 +255,23 @@ def run(
                     raise ProtocolError("lifetime-sampled wait needs stochastic mode")
                 state = state.with_time(state.time_tag + dt)
             elif step.kind == "induce":
+                amps = state.amps.copy()
                 for i, j in p["pairs"]:
                     if not (0 <= i < n and 0 <= j < n):
                         raise ProtocolError(f"induce pair ({i},{j}) out of range")
-                    state = _swap(state, i, j)
+                    amps[[i, j]] = amps[[j, i]]
+                state = QState(basis, amps, state.time_tag)
             elif step.kind == "erase":
                 state = erase(state, p["indices"], renormalize=p["renormalize"])
             elif step.kind == "decohere":
                 state, rec = decohere(state, p["emit"], p["target"], p["R"],
                                       renormalize=p["renormalize"])
-                emissions.append(rec)
                 ledger -= np.array(rec.mode.momentum)
             for mid in p.get("absorb", ()):
                 ledger += np.array(_mode(mid).momentum)
         except (ProtocolError, ValueError, IndexError, KeyError) as exc:
             raise ProtocolStepError(step_no, step.kind, str(exc)) from exc
-        entries.append(TraceEntry(step_no, step.kind, state, tuple(emissions), tuple(ledger)))
+        entries.append(TraceEntry(step_no, step.kind, state, rec, tuple(ledger)))
     return Trace(entries)
 
 

@@ -64,15 +64,18 @@ class QState:
 
 @dataclass(frozen=True)
 class EmissionRecord:
-    """A photon branch detached from the working basis: mode, propagation
-    direction, detection anchor R, the carried amplitude and the emitting
-    basis index."""
+    """A photon branch detached from the working basis: mode, detection anchor
+    R, the carried amplitude and the emitting basis index."""
 
     mode: ModeLabel
-    direction: tuple[float, float, float]
     location_R: tuple[float, float, float]
     amplitude: complex
     source_index: int
+
+    @property
+    def direction(self) -> tuple[float, float, float]:
+        """The propagation direction, that of the emitted mode."""
+        return self.mode.direction
 
 
 def window_state(b: Basis, e: BasisElement, time_tag: float = 0.0) -> QState:
@@ -154,16 +157,9 @@ def decohere(
         )
     amps = s.amps.copy()
     amps[emit] = 0.0
-    record = EmissionRecord(
-        mode=mode,
-        direction=mode.direction,
-        location_R=tuple(float(r) for r in R),
-        amplitude=amp,
-        source_index=emit,
-    )
-    residual = QState(s.basis, amps, s.time_tag)
     if renormalize:
-        amps = residual.amps.copy()
         amps[target] += amp
-        residual = QState(s.basis, amps, s.time_tag).normalized()
-    return residual, record
+    residual = QState(s.basis, amps, s.time_tag)
+    record = EmissionRecord(mode=mode, location_R=tuple(float(r) for r in R), amplitude=amp,
+                            source_index=emit)
+    return (residual.normalized() if renormalize else residual), record

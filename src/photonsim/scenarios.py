@@ -8,8 +8,6 @@ Numeric amplitudes inside a support pattern are engine-dependent; only the
 zero/nonzero layout is templated.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from dataclasses import dataclass
@@ -102,29 +100,21 @@ def lambda_scenario(omega_10: float = 1.0, omega_20: float = 0.6,
     t_second = 0.8 / V  # generic partial mixing along the chain
 
     return _scenario("lambda", named, {}, lambda ix: [
-        (ProtocolStep.prepare(ix["root_in"], absorb=["w10"],
-                              annotation="opening channel, pulse along k_forward"),
-         "root_in"),
+        (ProtocolStep.prepare(ix["root_in"], absorb=["w10"]), "root_in"),
         (ProtocolStep.laser_on("w10", [(ix["root_in"], ix["root_ent"], V),
-                                       (ix["root_in"], ix["upper_prod"], V)], t_open,
-                               annotation="incoming channel switched off"),
+                                       (ix["root_in"], ix["upper_prod"], V)], t_open),
          "root_ent upper_prod"),
         (ProtocolStep.laser_on("w12", [(ix["upper_prod"], ix["upper_with12"], V),
                                        (ix["upper_with12"], ix["dark_ent12"], V)], t_second,
-                               absorb=["w12"], annotation="second beam, perpendicular direction"),
+                               absorb=["w12"]),
          "root_ent upper_prod upper_with12 dark_ent12"),
         (ProtocolStep.induce([(ix["dark_ent12"], ix["emit_root"]),
-                              (ix["upper_with12"], ix["dark_vac"])],
-                             annotation="induced transition toward decoherence"),
+                              (ix["upper_with12"], ix["dark_vac"])]),
          "root_ent upper_prod dark_vac emit_root"),
         (ProtocolStep.erase([ix["root_ent"], ix["upper_prod"]], renormalize=True),
          "dark_vac emit_root"),
-        (ProtocolStep.erase([ix["dark_vac"]], renormalize=True,
-                            annotation="root-state for spontaneous emission"),
-         "emit_root"),
-        (ProtocolStep.decohere(ix["emit_root"], ix["emit_target"],
-                               annotation="photon detached toward the detector"),
-         ""),
+        (ProtocolStep.erase([ix["dark_vac"]], renormalize=True), "emit_root"),
+        (ProtocolStep.decohere(ix["emit_root"], ix["emit_target"]), ""),
     ])
 
 
@@ -174,41 +164,29 @@ def halted_light_scenario(omega_pump: float = 1.0, omega_side: float = 0.4,
 
     def script(ix):
         pairs = [
-            (ProtocolStep.prepare(ix["pulse_in"], absorb=["w20f"], annotation="forward pulse enters"),
-             "pulse_in"),
-            (ProtocolStep.laser_on("w20f", [(ix["pulse_in"], ix["pulse_ent"], V)], 0.6 / V,
-                                   annotation="photon-state entanglement opens"),
+            (ProtocolStep.prepare(ix["pulse_in"], absorb=["w20f"]), "pulse_in"),
+            (ProtocolStep.laser_on("w20f", [(ix["pulse_in"], ix["pulse_ent"], V)], 0.6 / V),
              "pulse_in pulse_ent"),
             (ProtocolStep.laser_on("w20f", [(ix["pulse_in"], ix["upper_ent"], V)],
-                                   math.pi / (2.0 * V),
-                                   annotation="internal coherent state; pulse stopped"),
+                                   math.pi / (2.0 * V)),
              "pulse_ent upper_ent"),
             (ProtocolStep.induce([(ix["pulse_ent"], ix["upper_side_ent"]),
-                                  (ix["upper_ent"], ix["stored"])],
-                                 annotation="dark transition via k+; beam carries one photon in excess"),
+                                  (ix["upper_ent"], ix["stored"])]),
              "upper_side_ent stored"),
             (ProtocolStep.laser_on("w12p", [(ix["stored"], ix["dark_vac"], V)], 0.5 / V),
              "upper_side_ent stored dark_vac"),
-            (ProtocolStep.erase([ix["upper_side_ent"], ix["dark_vac"]], renormalize=True,
-                                annotation="stored coherent state; finite lifetime"),
+            (ProtocolStep.erase([ix["upper_side_ent"], ix["dark_vac"]], renormalize=True),
              "stored"),
         ]
         if skip_revival:
             return pairs
         return pairs + [
-            (ProtocolStep.wait(duration=1.0, annotation="storage delay"), "stored"),
-            (ProtocolStep.induce([(ix["stored"], ix["upper_ent"])],
-                                 annotation="k- beam consumes the stored quantum"),
-             "upper_ent"),
-            (ProtocolStep.induce([(ix["upper_ent"], ix["pulse_ent"])],
-                                 annotation="frequency up-conversion via the virtual mode"),
-             "pulse_ent"),
-            (ProtocolStep.induce([(ix["pulse_ent"], ix["pulse_in"])],
-                                 annotation="re-coherence: pulse revival"),
-             "pulse_in"),
-            (ProtocolStep.decohere(ix["pulse_in"], ix["vacuum"],
-                                   annotation="flash in the forward direction"),
-             ""),
+            (ProtocolStep.wait(duration=1.0), "stored"),
+            (ProtocolStep.induce([(ix["stored"], ix["upper_ent"])]), "upper_ent"),
+            # frequency up-conversion through the virtual mode, which stays empty
+            (ProtocolStep.induce([(ix["upper_ent"], ix["pulse_ent"])]), "pulse_ent"),
+            (ProtocolStep.induce([(ix["pulse_ent"], ix["pulse_in"])]), "pulse_in"),
+            (ProtocolStep.decohere(ix["pulse_in"], ix["vacuum"]), ""),
         ]
 
     return _scenario("halted_light", named, {}, script)
@@ -259,41 +237,27 @@ def one_photon_dissociation_scenario(outcome: int = 1, omega: float = 1.0,
     V = coupling
 
     def script(ix):
-        pairs = [(ProtocolStep.prepare(ix["window"], absorb=["w"],
-                                       annotation="window q-state: the photon energy exhausts here"),
-                  "window")]
+        pairs = [(ProtocolStep.prepare(ix["window"], absorb=["w"]), "window")]
         if not drive:
-            return pairs + [(ProtocolStep.wait(duration=5.0,
-                                               annotation="no external drive: state invariant"),
-                             "window")]
+            return pairs + [(ProtocolStep.wait(duration=5.0), "window")]
         pairs += [
-            (ProtocolStep.laser_on("w", [(ix["window"], ix["retained"], V)], 0.6 / V,
-                                   annotation="entanglement retains the EM energy"),
+            (ProtocolStep.laser_on("w", [(ix["window"], ix["retained"], V)], 0.6 / V),
              "window retained"),
-            (ProtocolStep.erase([ix["window"]], renormalize=True,
-                                annotation="coherence dissipates: vacuum information suppressed"),
-             "retained"),
+            # the coherence dissipates: the vacuum branch is suppressed
+            (ProtocolStep.erase([ix["window"]], renormalize=True), "retained"),
             (ProtocolStep.laser_on("w", [(ix["retained"], ix["b1_channel"], V),
-                                         (ix["retained"], ix["b2_channel"], V)], 0.5 / V,
-                                   annotation="chromophore coherence over dissociative channels"),
+                                         (ix["retained"], ix["b2_channel"], V)], 0.5 / V),
              "retained b1_channel b2_channel"),
         ]
         if outcome == 4:
             return pairs + [(ProtocolStep.laser_on("w", [(ix["retained"], ix["b1_channel"], V)],
-                                                   0.4 / V,
-                                                   annotation="coupling into dissociative channel B1"),
+                                                   0.4 / V),
                              "retained b1_channel b2_channel")]
-        emitter, landing, induce_note, emit_note = {
-            1: ("window", "root_vac", "", "re-emission in any direction"),
-            2: ("relaxed_hot", "relaxed_cold",
-                "chromophore relaxes; low-frequency quantum available", ""),
-            3: ("window", "root_vac", "", "filtered monochromatic 0-0 emission"),
-        }[outcome]
+        emitter, landing = ("relaxed_hot", "relaxed_cold") if outcome == 2 else ("window", "root_vac")
         return pairs + [
             (ProtocolStep.erase([ix["b1_channel"], ix["b2_channel"]], renormalize=True), "retained"),
-            (ProtocolStep.induce([(ix["retained"], ix[emitter])], annotation=induce_note), emitter),
-            (ProtocolStep.decohere(ix[emitter], ix[landing], renormalize=True, annotation=emit_note),
-             landing),
+            (ProtocolStep.induce([(ix["retained"], ix[emitter])]), emitter),
+            (ProtocolStep.decohere(ix[emitter], ix[landing], renormalize=True), landing),
         ]
 
     return _scenario("one_photon", named, {"outcome": outcome}, script)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -165,6 +166,17 @@ class TestCanonicalOrder:
         for i, e in enumerate(b):
             assert b.index(e) == i
             assert b.element_at(i) == e
+
+    def test_elements_sharing_a_canonical_key_rejected(self):
+        # Energies are not part of the key, so nothing would fix the order of
+        # these two.
+        low, high = (BasisElement(SINGLE_PARTITE, (ENLabel(0, 0, e),)) for e in (0.0, 5.0))
+        with pytest.raises(ValueError, match=re.escape("share the canonical key ('1-partite', ((0, 0),), ())")):
+            Basis([low, high])
+
+    def test_equal_elements_count_once(self):
+        a, b = (BasisElement(SINGLE_PARTITE, (ENLabel(0, 0, 0.0),)) for _ in range(2))
+        assert a is not b and list(Basis([a, b, a])) == [a]
 
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError, match="at least one element"):

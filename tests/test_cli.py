@@ -3,12 +3,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import photonsim
 from photonsim.cli import main
 
 BASIS_CONFIG = {
@@ -170,6 +173,12 @@ class TestSecularCommand:
         assert main(["secular", params]) == 0
         assert "root: eigenvalue 5.00199920064" in capsys.readouterr().out
 
+    def test_negative_zero_printed_as_zero(self, tmp_path, capsys):
+        params = write(tmp_path, "p.json", {"levels": [-0.0, 1.0], "couplings": [], "anchor": -0.0})
+        assert main(["secular", params]) == 0
+        out = capsys.readouterr().out
+        assert "root: eigenvalue 0 (anchor 0)" in out and "-0" not in out
+
 
 def _secular_coupling_outside(tmp_path):
     return ["secular", write(tmp_path, "p.json", {"couplings": [[0, 9, 0.2]]})]
@@ -310,6 +319,7 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
     lambda tmp_path: ["atto", "--center", "1e300", "--spacing", "1e200", "--width", "1e300"],
     _basis_config(modes=[{"id": None, "omega": 1.0}]),
     _basis_config(partitions=[{"id": 7, "blocks": [[1]]}]),
+    _one_step_script("wait", {"duration": 1.0, "annotation": [1, {"x": 2}]}),
 ], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative",
         "expect-not-a-list", "wait-inf", "wait-nan", "laser-duration-nan",
         "laser-coupling-nan", "decohere-R-short", "decohere-R-long", "decohere-R-nan",
@@ -335,7 +345,8 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
         "slits-L-huge", "slits-half-width-unbounded", "slits-c1-huge",
         "registry-couplings-disagree", "run-tol-negative", "run-tol-nan", "run-tol-inf",
         "slits-tol-nan", "slits-tol-negative", "atto-amplitudes-inf-over-inf",
-        "atto-amplitudes-inf-over-inf-wide", "mode-id-null", "partition-id-number"])
+        "atto-amplitudes-inf-over-inf-wide", "mode-id-null", "partition-id-number",
+        "annotation-not-string"])
 def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -639,6 +650,20 @@ _SLITS_ARGV = st.tuples(
 @given(argv=st.one_of(_ATTO_ARGV, _SLITS_ARGV))
 def test_atto_and_slits_keep_exit_code_contract(argv):
     assert _exit_code_of(argv) in (0, 2)
+
+
+@pytest.mark.parametrize("command, name", [("basis", "basis_768.json"),
+                                           ("run", "scenario_lambda.json")])
+def test_output_independent_of_the_hash_seed(command, name):
+    """Two processes with different ``PYTHONHASHSEED`` print the same bytes;
+    an in-process rerun could not see an order that follows the hash seed."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", name)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(photonsim.__file__)))
+    outs = [subprocess.run([sys.executable, "-m", "photonsim.cli", command, path],
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                           capture_output=True, check=True, timeout=120).stdout
+            for seed in ("1", "2")]
+    assert outs[0] and outs[0] == outs[1]
 
 
 class TestSpinCommand:

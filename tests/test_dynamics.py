@@ -83,6 +83,11 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="Hermitian"):
             Hamiltonian(two_level, np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("m", [[[0, np.nan], [np.nan, 1]], [[np.inf, 0], [0, 1]]])
+    def test_non_finite_rejected(self, two_level, m):
+        with pytest.raises(ValueError, match="Hamiltonian must be finite"):
+            Hamiltonian(two_level, m)
+
     def test_shape_mismatch_rejected(self, two_level):
         with pytest.raises(ValueError):
             Hamiltonian(two_level, np.zeros((3, 3), dtype=complex))
@@ -226,6 +231,16 @@ class TestSecular:
         with pytest.raises(ValueError):
             solve_secular(np.array([[0, 1], [0, 0]], dtype=complex), anchor=0.0)
 
+    @pytest.mark.parametrize("m, message", [
+        ([[np.nan, 0], [0, 1]], "must be finite"),
+        (np.zeros((2, 3)), "non-empty square matrix, got shape"),
+        (np.zeros((0, 0)), "non-empty square matrix, got shape"),
+        ([1.0, 2.0], "non-empty square matrix, got shape"),
+    ], ids=["nan", "not-square", "empty", "one-dimensional"])
+    def test_matrix_that_is_not_finite_square_and_non_empty_rejected(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            solve_secular(m, anchor=0.0)
+
 
 class TestPerturbative:
     def test_first_order_values(self):
@@ -250,6 +265,24 @@ class TestPerturbative:
         m = np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex)
         with pytest.raises(ValueError, match="degenerate"):
             perturbative_amplitudes(m, root=0)
+
+    @pytest.mark.parametrize("m, message", [
+        ([[np.nan, 0], [0, 1]], "must be finite"),
+        (np.zeros((2, 3)), "non-empty square matrix"),
+        ([[0, 1], [0, 0]], "Hermitian"),
+    ], ids=["nan", "not-square", "not-hermitian"])
+    def test_matrix_read_like_the_secular_solver(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            perturbative_amplitudes(m, root=0)
+
+    @pytest.mark.parametrize("root", [-1, 4, 7])
+    def test_root_outside_never_wraps(self, root):
+        with pytest.raises(ValueError, match=f"root {root} outside 4 levels"):
+            perturbative_amplitudes(secular_matrix(), root=root)
+
+    def test_fractional_root_rejected(self):
+        with pytest.raises(TypeError):
+            perturbative_amplitudes(secular_matrix(), root=1.0)
 
     def test_degenerate_uncoupled_levels_allowed(self):
         m = np.diag([1.0, 1.0, 2.0]).astype(complex)

@@ -67,7 +67,9 @@ class TestSteps:
      ProtocolStep.erase([4, 1], renormalize=True)),
     ({"kind": "decohere", "params": {"emit": 5, "target": 1, "R": [0, 5, 0], "renormalize": True}},
      ProtocolStep.decohere(5, 1, (0.0, 5.0, 0.0), renormalize=True)),
-], ids=["prepare", "laser_on", "wait", "induce", "erase", "decohere"])
+    ({"kind": "wait", "params": {"duration": 0.5, "annotation": "hold"}},
+     ProtocolStep.wait(duration=0.5)),
+], ids=["prepare", "laser_on", "wait", "induce", "erase", "decohere", "annotation-dropped"])
 def test_from_dict_matches_constructor(row, step):
     assert ProtocolStep.from_dict(row) == step
 
@@ -82,8 +84,10 @@ def test_from_dict_matches_constructor(row, step):
     ({"kind": "laser_on", "params": {"mode": "w", "couplings": [[0, 1]], "duration": 1}},
      r"must be \[i, j, re\] or \[i, j, re, im\]"),
     ({"kind": "teleport"}, "unknown kind 'teleport'"),
+    ({"kind": "wait", "params": {"duration": 0.5, "annotation": [1, {"x": 2}]}},
+     "wait: annotation must be a string"),
 ], ids=["row-not-object", "params-not-object", "constructor-argument-name", "unknown-key",
-        "float-index", "coupling-without-value", "unknown-kind"])
+        "float-index", "coupling-without-value", "unknown-kind", "annotation-not-string"])
 def test_from_dict_rejects_malformed_rows(row, message):
     with pytest.raises(ProtocolError, match=message):
         ProtocolStep.from_dict(row)
@@ -189,6 +193,11 @@ class TestLambdaSequence:
         rec = trace.emissions[0]
         assert rec.mode.id == "w12"
         assert abs(rec.amplitude) == pytest.approx(1.0, abs=1e-12)
+
+    def test_each_entry_holds_only_its_own_emission(self):
+        trace = run_scenario(lambda_scenario())
+        assert [e.kind for e in trace.entries if e.emission is not None] == ["decohere"]
+        assert trace.emissions == (trace.final.emission,)
 
     def test_norm_preserved_through_coherent_steps(self):
         scn = lambda_scenario()

@@ -13,7 +13,7 @@ from photonsim.basis import (
     enumerate_basis,
 )
 from photonsim.labels import ENLabel, FockLabel, ModeLabel, Registry
-from photonsim.qstate import QState, decohere, erase, support, window_state
+from photonsim.qstate import EmissionRecord, QState, decohere, erase, support, window_state
 from photonsim.scenarios import halted_light_scenario, lambda_scenario
 
 
@@ -154,6 +154,11 @@ class TestDecohere:
         assert rec.direction == pytest.approx((0.0, 1.0, 0.0))
         assert rec.amplitude == 1.0
         assert rec.location_R == (0.0, 5.0, 0.0)
+
+    def test_record_direction_is_that_of_its_mode(self):
+        mode = ModeLabel("k", 1.0, (0.0, 3.0, 4.0))
+        rec = EmissionRecord(mode, (0.0, 0.0, 0.0), 1.0, 0)
+        assert rec.direction == mode.direction == pytest.approx((0.0, 0.6, 0.8))
 
     def test_conservation(self, lam):
         rng = np.random.default_rng(11)
