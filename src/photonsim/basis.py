@@ -8,6 +8,7 @@ with the matter part.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass
@@ -37,8 +38,9 @@ _GUISE_RANK = {PRODUCT: 0, ENTANGLED: 1}
 
 # The most elements ``enumerate_basis`` or ``attosecond_init`` builds, and the
 # most samples ``double_slit_pattern`` computes; a larger request is refused
-# before anything is allocated.  A ``basis`` process peaks at about 1.7 kB per
-# element (600 MB at 360,000 elements, CPython 3.11), so a basis at the cap takes about 1.7 GB.
+# before anything is allocated.  A ``basis`` process peaks at about 1.2 kB per
+# element (134 MB at 90,000 and 440 MB at 360,000 elements, CPython 3.11), so a
+# basis at the cap takes about 1.2 GB.
 MAX_BASIS_SIZE = 10**6
 
 # Trivial one-constituent partition used by single-system examples.
@@ -86,6 +88,11 @@ class BasisElement:
         )
 
 
+def _one_constituent_count(partitions: Iterable[PartitionScheme]):
+    if len(ms := {p.m for p in partitions}) > 1:
+        raise ValueError(f"partitions disagree on constituent count: {sorted(ms)}")
+
+
 def element_level(e: BasisElement) -> float:
     """Photonic energy level: sum of block EN energies plus n*omega per mode."""
     return sum(l.energy for l in e.en_labels) + sum(f.energy for f, _ in e.photon_part)
@@ -103,16 +110,19 @@ class Basis:
             first = by_key.setdefault(key := e.sort_key(), e)
             if first is not e and first != e:
                 raise ValueError(f"two basis elements share the canonical key {key}")
-        elems = [by_key[k] for k in sorted(by_key)]
-        if not elems:
+        if not by_key:
             raise ValueError("basis must contain at least one element")
-        ms = {e.partition.m for e in elems}
-        if len(ms) > 1:
-            raise ValueError(f"partitions disagree on constituent count: {sorted(ms)}")
-        self._elements: tuple[BasisElement, ...] = tuple(elems)
-        self._index: dict[BasisElement, int] = {e: i for i, e in enumerate(self._elements)}
-        self.metadata: dict = dict(metadata or {})
-        self._levels: np.ndarray | None = None
+        _one_constituent_count(e.partition for e in by_key.values())
+        self._hold(tuple(by_key[k] for k in sorted(by_key)), metadata)
+
+    @classmethod
+    def _canonical(cls, elements: tuple[BasisElement, ...], metadata: dict) -> "Basis":
+        """A basis of ``elements``, already distinct and in canonical order."""
+        return cls.__new__(cls)._hold(elements, metadata)
+
+    def _hold(self, elements: tuple[BasisElement, ...], metadata: dict | None) -> "Basis":
+        self._elements, self.metadata, self._levels = elements, dict(metadata or {}), None
+        return self
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -130,10 +140,11 @@ class Basis:
         return self._elements[i]
 
     def index(self, e: BasisElement) -> int:
-        try:
-            return self._index[e]
-        except KeyError:
-            raise KeyError("element not in basis") from None
+        """The index of ``e``, found by bisecting the canonical order."""
+        i = bisect.bisect_left(self._elements, e.sort_key(), key=BasisElement.sort_key)
+        if i < len(self._elements) and self._elements[i] == e:
+            return i
+        raise KeyError("element not in basis")
 
     def levels(self) -> np.ndarray:
         """Photonic level of each element in index order.  Computed on first
@@ -189,26 +200,30 @@ def enumerate_basis(
     for m in modes:
         if m.id not in registry.modes:
             raise ValueError(f"mode {m.id!r} not in registry")
-    en_labels = [registry.levels[k] for k in sorted(registry.levels)]
-    if not en_labels:
+    levels: dict[tuple[int, int], ENLabel] = {}
+    for label in registry.levels.values():
+        if levels.setdefault(label.key, label) != label:
+            raise ValueError(f"two EN levels share the key {label.key}")
+    if not levels:
         raise ValueError("registry has no EN levels")
+    en_labels = [levels[k] for k in sorted(levels)]
     size = sum(len(en_labels) ** p.n_blocks for p in partitions) * (2 * (n_max + 1)) ** len(modes)
     if size > MAX_BASIS_SIZE:
         raise ValueError(f"basis would have more than {MAX_BASIS_SIZE} elements")
-
-    elements = []
-    for part in partitions:
-        for assignment in itertools.product(en_labels, repeat=part.n_blocks):
-            for occs in itertools.product(range(n_max + 1), repeat=len(modes)):
-                for guises in itertools.product((PRODUCT, ENTANGLED), repeat=len(modes)):
-                    photon = tuple(
-                        (FockLabel(mode, n), g)
-                        for mode, n, g in zip(modes, occs, guises)
-                    )
-                    elements.append(BasisElement(part, assignment, photon))
-    meta = {
-        "n_max": n_max,
-        "modes": sorted(m.id for m in modes),
-        "partitions": sorted(p.id for p in partitions),
-    }
-    return Basis(elements, metadata=meta)
+    _one_constituent_count(partitions)
+    # ``sort_key`` order is mixed-radix: partition id, EN keys, then modes by id,
+    # each from n_max down with product first.  Photons keep the caller's mode order.
+    by_id = sorted(modes, key=lambda m: m.id)
+    digits = [[(FockLabel(m, n), g) for n in range(n_max, -1, -1) for g in (PRODUCT, ENTANGLED)]
+              for m in by_id]
+    place = [by_id.index(m) for m in modes]
+    photons = [tuple(map(combo.__getitem__, place)) for combo in itertools.product(*digits)]
+    elements = tuple(
+        BasisElement(part, assignment, photon)
+        for part in sorted(partitions, key=lambda p: p.id)
+        for assignment in itertools.product(en_labels, repeat=part.n_blocks)
+        for photon in photons
+    )
+    meta = {"n_max": n_max, "modes": sorted(m.id for m in modes),
+            "partitions": sorted(p.id for p in partitions)}
+    return Basis._canonical(elements, meta)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import MAX_BASIS_SIZE, Basis
-from .labels import CouplingModel, tolerance
+from .labels import CouplingModel, finite, tolerance
 from .qstate import QState
 
 __all__ = [
@@ -153,6 +153,7 @@ def propagate(s: QState, H: Hamiltonian | CouplingModel, dt: float) -> QState:
 def solve_secular(matrix: np.ndarray, anchor: float) -> SecularSolution:
     """Eigendecomposition with the root chosen nearest the anchor level."""
     matrix = _hermitian(matrix, "secular matrix")
+    anchor = finite(anchor, "anchor")
     w, v = _eigh(matrix)
     root = int(np.argmin(np.abs(w - anchor)))
     return SecularSolution(eigenvalues=w, eigenvectors=v, root_index=root)

@@ -78,12 +78,15 @@ class ProtocolStep:
 
     @classmethod
     def from_dict(cls, row: dict) -> "ProtocolStep":
-        """Build a step from its script form ``{"kind": ..., "params": {...}}``.
-        The constructors are the schema: ``params`` are the keyword arguments
-        of the one of that kind, and an optional ``annotation`` string, which
-        is checked and dropped.  A malformed row raises ``ProtocolError``."""
+        """Build a step from its script form ``{"kind": ..., "params": {...}}``,
+        which holds no other key.  The constructors are the schema: ``params``
+        are the keyword arguments of the one of that kind, and an optional
+        ``annotation`` string, which is checked and dropped.  A malformed row
+        raises ``ProtocolError``."""
         if not isinstance(row, dict):
             raise ProtocolError("a step must be an object")
+        if unknown := [key for key in row if key not in ("kind", "params")]:
+            raise ProtocolError(f"unknown key {unknown[0]!r}")
         kind = row.get("kind")
         if kind not in _KINDS:
             raise ProtocolError(f"unknown kind {kind!r}")

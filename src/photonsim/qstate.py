@@ -112,7 +112,7 @@ def _emitted_mode(emit: BasisElement, target: BasisElement) -> ModeLabel:
     occ_e = emit.occupations()
     occ_t = target.occupations()
     decremented = None
-    for mid in set(occ_e) | set(occ_t):
+    for mid in sorted(set(occ_e) | set(occ_t)):
         ne, nt = occ_e.get(mid, 0), occ_t.get(mid, 0)
         if ne == nt:
             continue

@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import photonsim.basis as basis_module
 from photonsim.basis import (
@@ -222,3 +223,102 @@ class TestCanonicalOrder:
         e2 = BasisElement(p2, (ENLabel(0, 0, 0.0), ENLabel(1, 0, 1.0)))
         with pytest.raises(ValueError, match="constituent count"):
             Basis([e1, e2])
+
+    def test_constituent_conservation_refused_before_any_element(self, pair_registry,
+                                                                monkeypatch):
+        def no_element(*args):
+            raise AssertionError("an element was built")
+
+        monkeypatch.setattr(basis_module, "BasisElement", no_element)
+        parts = [PartitionScheme("one", ((1,),)), PartitionScheme("two", ((1,), (2,)))]
+        with pytest.raises(ValueError, match=re.escape("partitions disagree on constituent count: [1, 2]")):
+            enumerate_basis(pair_registry, parts, [pair_registry.mode("w")], n_max=1)
+
+
+def nested_loop_basis(registry, partitions, modes, n_max):
+    """The basis as ``enumerate_basis`` built it before it generated the
+    canonical order directly: every combination in input order, with
+    ``Basis`` keying, deduplicating and sorting them."""
+    en_labels = [registry.levels[k] for k in sorted(registry.levels)]
+    elements = [
+        BasisElement(part, assignment, tuple(
+            (FockLabel(mode, n), g) for mode, n, g in zip(modes, occs, guises)))
+        for part in partitions
+        for assignment in itertools.product(en_labels, repeat=part.n_blocks)
+        for occs in itertools.product(range(n_max + 1), repeat=len(modes))
+        for guises in itertools.product((PRODUCT, ENTANGLED), repeat=len(modes))
+    ]
+    meta = {"n_max": n_max, "modes": sorted(m.id for m in modes),
+            "partitions": sorted(p.id for p in partitions)}
+    return Basis(elements, metadata=meta)
+
+
+def assert_enumerates_as_nested_loop(registry, partitions, modes, n_max):
+    try:
+        expected = nested_loop_basis(registry, partitions, modes, n_max)
+    except ValueError:
+        with pytest.raises(ValueError):
+            enumerate_basis(registry, partitions, modes, n_max)
+        return
+    b = enumerate_basis(registry, partitions, modes, n_max)
+    assert len(b) == len(expected)
+    assert tuple(b) == tuple(expected)
+    for i, e in enumerate(expected):
+        assert b.index(e) == i and b.element_at(i) == e
+    first, last = b.element_at(0), b.element_at(len(b) - 1)
+    en = first.en_labels[0]
+    same_key = BasisElement(first.partition, (ENLabel(en.j, en.k_sub, en.energy + 0.25),)
+                            + first.en_labels[1:], first.photon_part)
+    after_last = BasisElement(last.partition, (ENLabel(9, 0, 9.0),) * last.partition.n_blocks)
+    for stranger in (same_key, after_last):
+        with pytest.raises(KeyError, match="element not in basis"):
+            b.index(stranger)
+    assert b.levels().tobytes() == expected.levels().tobytes()
+    assert b.to_json() == expected.to_json()
+
+
+_LEVELS = st.builds(ENLabel, st.integers(0, 2), st.integers(0, 1), st.sampled_from([0.0, 0.5, 1.0]))
+_BLOCKS = st.sampled_from([((1,),), ((1, 2),), ((1,), (2,)), ((2,), (1,))])
+
+
+@st.composite
+def small_registries(draw):
+    """A registry, 1-3 partitions with ids in drawn order, 0-2 of its modes in
+    drawn order, and n_max.  Some registries are built in the library with
+    dict keys that disagree with their labels' keys."""
+    labels = draw(st.lists(_LEVELS, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                             min_size=len(labels), max_size=len(labels), unique=True))
+        levels = dict(zip(keys, labels))
+    else:
+        levels = {label.key: label for label in labels}
+    ids = draw(st.lists(st.sampled_from("cab"), max_size=2, unique=True))
+    modes = {i: ModeLabel(i, draw(st.sampled_from([0.5, 1.0, 1.5]))) for i in "abc"}
+    part_ids = draw(st.lists(st.sampled_from(["q", "P", "b", "a1"]), min_size=1, max_size=3,
+                             unique=True))
+    partitions = [PartitionScheme(p, draw(_BLOCKS)) for p in part_ids]
+    return (Registry(levels=levels, modes=modes), partitions, [modes[i] for i in ids],
+            draw(st.integers(0, 2)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(small_registries())
+def test_enumerates_as_the_nested_loop(drawn):
+    assert_enumerates_as_nested_loop(*drawn)
+
+
+@pytest.mark.parametrize("levels, size", [
+    ({(0, 0): ENLabel(0, 0, 0.0), (1, 0): ENLabel(0, 0, 5.0)}, None),
+    ({(0, 0): ENLabel(0, 0, 0.0), (0, 1): ENLabel(0, 0, 0.0)}, 2),
+    ({(0, 0): ENLabel(1, 0, 1.0), (1, 0): ENLabel(0, 0, 0.0)}, 4),
+], ids=["two-labels-one-key", "one-label-two-keys", "keys-out-of-label-order"])
+def test_registry_keys_disagreeing_with_labels(levels, size):
+    reg = Registry(levels=levels, modes={"w": ModeLabel("w", 1.0)})
+    args = (reg, [SINGLE_PARTITE], [reg.mode("w")], 0)
+    assert_enumerates_as_nested_loop(*args)
+    if size is None:
+        with pytest.raises(ValueError, match=re.escape("two EN levels share the key (0, 0)")):
+            enumerate_basis(*args)
+    else:
+        assert len(enumerate_basis(*args)) == size

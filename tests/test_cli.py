@@ -320,6 +320,7 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
     _basis_config(modes=[{"id": None, "omega": 1.0}]),
     _basis_config(partitions=[{"id": 7, "blocks": [[1]]}]),
     _one_step_script("wait", {"duration": 1.0, "annotation": [1, {"x": 2}]}),
+    _script(steps=[{"kind": "wait", "params": {"duration": 1.0}, "parms": {}}]),
 ], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative",
         "expect-not-a-list", "wait-inf", "wait-nan", "laser-duration-nan",
         "laser-coupling-nan", "decohere-R-short", "decohere-R-long", "decohere-R-nan",
@@ -346,7 +347,7 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
         "registry-couplings-disagree", "run-tol-negative", "run-tol-nan", "run-tol-inf",
         "slits-tol-nan", "slits-tol-negative", "atto-amplitudes-inf-over-inf",
         "atto-amplitudes-inf-over-inf-wide", "mode-id-null", "partition-id-number",
-        "annotation-not-string"])
+        "annotation-not-string", "step-unknown-key"])
 def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

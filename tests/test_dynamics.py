@@ -241,6 +241,12 @@ class TestSecular:
         with pytest.raises(ValueError, match=message):
             solve_secular(m, anchor=0.0)
 
+    @pytest.mark.parametrize("anchor", [float("nan"), float("inf"), True, "1.5"])
+    def test_anchor_must_be_a_finite_number(self, anchor):
+        # a NaN anchor used to pick root 0: argmin over an all-NaN distance
+        with pytest.raises(ValueError, match="anchor must be a finite number"):
+            solve_secular(np.diag([1.0, 2.0]), anchor)
+
 
 class TestPerturbative:
     def test_first_order_values(self):

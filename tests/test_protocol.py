@@ -84,10 +84,12 @@ def test_from_dict_matches_constructor(row, step):
     ({"kind": "laser_on", "params": {"mode": "w", "couplings": [[0, 1]], "duration": 1}},
      r"must be \[i, j, re\] or \[i, j, re, im\]"),
     ({"kind": "teleport"}, "unknown kind 'teleport'"),
+    ({"kind": "wait", "params": {"duration": 1.0}, "parms": {}}, "unknown key 'parms'"),
     ({"kind": "wait", "params": {"duration": 0.5, "annotation": [1, {"x": 2}]}},
      "wait: annotation must be a string"),
 ], ids=["row-not-object", "params-not-object", "constructor-argument-name", "unknown-key",
-        "float-index", "coupling-without-value", "unknown-kind", "annotation-not-string"])
+        "float-index", "coupling-without-value", "unknown-kind", "unknown-step-key",
+        "annotation-not-string"])
 def test_from_dict_rejects_malformed_rows(row, message):
     with pytest.raises(ProtocolError, match=message):
         ProtocolStep.from_dict(row)

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import photonsim
 from photonsim.basis import (
     ENTANGLED,
     PRODUCT,
@@ -213,6 +217,31 @@ class TestDecohere:
         s = window_state(lam.basis, lam.named_elements["dark_vac"])
         with pytest.raises(ValueError, match="photon"):
             decohere(s, lam.index("dark_vac"), lam.index("emit_target"))
+
+    def test_mode_named_for_a_second_photon_does_not_follow_the_hash_seed(self):
+        # Modes are walked in id order, so in every process 'a' is taken as
+        # the emitted photon and 'b' is the one named as left over.
+        code = (
+            "from photonsim.basis import SINGLE_PARTITE, PRODUCT, Basis, BasisElement\n"
+            "from photonsim.labels import ENLabel, FockLabel, ModeLabel\n"
+            "from photonsim.qstate import decohere, window_state\n"
+            "en = (ENLabel(0, 0, 0.0),)\n"
+            "modes = [ModeLabel(c, 1.0) for c in 'hgfedcba']\n"
+            "emit = BasisElement(SINGLE_PARTITE, en, [(FockLabel(m, 1), PRODUCT) for m in modes])\n"
+            "vacuum = BasisElement(SINGLE_PARTITE, en)\n"
+            "b = Basis([emit, vacuum])\n"
+            "try:\n"
+            "    decohere(window_state(b, emit), b.index(emit), b.index(vacuum))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(photonsim.__file__))
+        for seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True).stdout
+            assert out == ("target must differ from the emitter by exactly one photon; "
+                           "mode 'b' goes 1 -> 0\n")
 
     def test_energy_mismatch_rejected(self):
         # removing a photon while also dropping the EN level violates the
