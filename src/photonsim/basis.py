@@ -16,7 +16,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .labels import ENLabel, FockLabel, ModeLabel, PartitionScheme, Registry
+from .labels import ENLabel, FockLabel, ModeLabel, PartitionScheme, Registry, integer
 
 __all__ = [
     "PRODUCT",
@@ -135,9 +135,7 @@ class Basis:
 
     def element_at(self, i: int) -> BasisElement:
         """The element at index i; a negative index is an error, never a wrap."""
-        if not 0 <= i < len(self._elements):
-            raise IndexError(f"index {i} outside basis of size {len(self._elements)}")
-        return self._elements[i]
+        return self._elements[integer(i, "basis index", len(self._elements))]
 
     def index(self, e: BasisElement) -> int:
         """The index of ``e``, found by bisecting the canonical order."""
@@ -189,8 +187,7 @@ def enumerate_basis(
     recorded in the basis metadata.  A basis of more than ``MAX_BASIS_SIZE``
     elements is refused before any is built.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    n_max = integer(n_max, "n_max")
     if not partitions:
         raise ValueError("need at least one partition scheme")
     if len({p.id for p in partitions}) != len(partitions):

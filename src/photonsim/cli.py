@@ -9,7 +9,6 @@ raise; ``main`` alone turns an error into its exit code and one stderr line.
 from __future__ import annotations
 
 import argparse
-import operator
 import os
 import sys
 
@@ -18,10 +17,11 @@ import numpy as np
 from . import scenarios
 from .basis import Basis, enumerate_basis
 from .dynamics import double_slit_pattern, hamiltonian_matrix, solve_secular, visibility
-from .labels import (CouplingModel, PartitionScheme, Registry, RegistryError, coupling_value,
-                     finite, fmt, json_rows, load_json, reading, tolerance)
+from .labels import (CouplingModel, PartitionScheme, Registry, RegistryError, _object,
+                     coupling_value, finite, fmt, integer, json_rows, load_json, reading,
+                     tolerance)
 from .protocol import ProtocolStep, ProtocolStepError, check_templates, run
-from .qstate import QState, window_state
+from .qstate import DEFAULT_SUPPORT_TOL, QState, window_state
 from .spin import permute_labels, s_squared_matrix, singlet, spin_expectation, triplet
 
 EXIT_OK = 0
@@ -49,15 +49,6 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _object(value, what: str, keys) -> dict:
-    """``value`` as a JSON object holding no key outside ``keys``."""
-    if not isinstance(value, dict):
-        raise RegistryError(f"{what} must be an object")
-    if unknown := sorted(set(value) - set(keys)):
-        raise RegistryError(f"{what}: unknown key {unknown[0]!r}")
-    return value
-
-
 _BASIS_KEYS = ("levels", "modes", "couplings", "partitions", "basis_modes", "n_max")
 _SCENARIO_REF_KEYS = ("scenario", "params", "mode", "seed")
 _EXPLICIT_KEYS = ("basis_config", "models", "initial", "steps", "mode", "seed")
@@ -67,7 +58,7 @@ def _basis_from_config(cfg) -> Basis:
     cfg = _object(cfg, "basis config", _BASIS_KEYS)
     registry = Registry.from_dict(cfg)
     partitions = []
-    for what, row in json_rows(cfg, "partitions"):
+    for what, row in json_rows(cfg, "partitions", ("id", "blocks")):
         with reading(what):
             partitions.append(PartitionScheme(id=row["id"], blocks=row["blocks"]))
     if not partitions:
@@ -77,9 +68,7 @@ def _basis_from_config(cfg) -> Basis:
         raise RegistryError("basis_modes must be a list of mode ids")
     with reading("basis_modes"):
         modes = [registry.mode(mid) for mid in mode_ids]
-    with reading("n_max"):
-        n_max = operator.index(cfg.get("n_max", 1))
-    return enumerate_basis(registry, partitions, modes, n_max)
+    return enumerate_basis(registry, partitions, modes, cfg.get("n_max", 1))
 
 
 def cmd_basis(args) -> int:
@@ -97,10 +86,9 @@ _SCENARIOS = {
 
 
 def _read_templates(rows) -> list[frozenset[int]]:
-    if not (isinstance(rows, list) and all(
-            isinstance(row, list) and all(type(i) is int for i in row) for row in rows)):
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise RegistryError("templates must be a list of lists of basis indices")
-    return [frozenset(row) for row in rows]
+    return [frozenset(integer(i, "template index") for i in row) for row in rows]
 
 
 def cmd_run(args) -> int:
@@ -122,21 +110,19 @@ def cmd_run(args) -> int:
         basis = _basis_from_config(script.get("basis_config"))
         rows = []
         for what, row in json_rows(_object(script.get("models", {}), "models", ("couplings",)),
-                                   "couplings"):
+                                   "couplings", ("i", "j", "value")):
             with reading(what):
-                i, j = operator.index(row["i"]), operator.index(row["j"])
-                if not (0 <= i < len(basis) and 0 <= j < len(basis)):
-                    raise RegistryError(f"drive pair ({i},{j}) outside basis of size {len(basis)}")
+                i, j = integer(row["i"], "i", len(basis)), integer(row["j"], "j", len(basis))
                 rows.append((i, j, coupling_value(row["value"], f"drive coupling ({i},{j})")))
         models = CouplingModel.from_rows(rows)
         init = _object(script.get("initial", {}), "initial", ("element",))
         if "element" in init:
             with reading("initial.element"):
-                initial = window_state(basis, basis.element_at(operator.index(init["element"])))
+                initial = window_state(basis, basis.element_at(init["element"]))
         else:
             initial = QState(basis, np.zeros(len(basis), dtype=np.complex128))
         steps = []
-        for what, row in json_rows(script, "steps"):
+        for what, row in json_rows(script, "steps", ("kind", "params")):
             with reading(what):
                 steps.append(ProtocolStep.from_dict(row))
         templates = None
@@ -173,11 +159,8 @@ def cmd_secular(args) -> int:
     levels = [finite(x, f"levels[{i}]") for i, x in enumerate(params["levels"])]
     n = len(levels)
     H = hamiltonian_matrix(np.array(levels), CouplingModel.from_rows(params["couplings"]))
-    if args.anchor_index:
-        k = args.anchor_index[0]
-        if not 0 <= k < n:
-            raise RegistryError(f"anchor index {k} outside {n} levels")
-        anchor = levels[k]
+    if args.anchor_index is not None:
+        anchor = levels[integer(args.anchor_index, "--anchor-index", n)]
     else:
         anchor = finite(params["anchor"], "anchor")
     threshold = finite(params["threshold"], "threshold")
@@ -266,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", help="JSON support-template file to compare against")
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=["deterministic", "stochastic"])
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=float, default=DEFAULT_SUPPORT_TOL,
                    help="support tolerance of the template check: |amplitude| above it is nonzero")
     common(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("secular", help="solve the four-state secular model")
     p.add_argument("params", nargs="?", help="JSON parameter file (defaults built in)")
-    p.add_argument("--anchor-index", type=int, nargs=1,
+    p.add_argument("--anchor-index", type=int,
                    help="anchor at the given level index instead of the params anchor")
     common(p)
     p.set_defaults(func=cmd_secular)

@@ -13,14 +13,13 @@ so a step costs O(n + k^3) for k coupled elements and no n x n matrix exists.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import MAX_BASIS_SIZE, Basis
-from .labels import CouplingModel, finite, tolerance
+from .labels import CouplingModel, finite, integer, tolerance
 from .qstate import QState
 
 __all__ = [
@@ -109,8 +108,8 @@ def _drive_block(levels: np.ndarray, cm: CouplingModel) -> tuple[np.ndarray, np.
     to them: their levels on the diagonal, the drive terms off it.  Every
     drive pair, zero-valued ones too, must lie inside the levels."""
     for i, j, _ in cm.terms:
-        if i < 0 or j >= len(levels):
-            raise ValueError(f"drive coupling ({i},{j}) outside basis of size {len(levels)}")
+        for k in (i, j):
+            integer(k, f"drive coupling ({i},{j}) index", len(levels))
     terms = [(i, j, v) for i, j, v in cm.terms if v != 0]
     coupled = sorted({k for i, j, _ in terms for k in (i, j)})
     block = np.diag(levels[coupled].astype(np.complex128))
@@ -164,9 +163,7 @@ def perturbative_amplitudes(matrix: np.ndarray, root: int) -> np.ndarray:
     unnormalized.  Independent check for the secular root vector."""
     matrix = _hermitian(matrix, "secular matrix")
     n = len(matrix)
-    root = operator.index(root)
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} outside {n} levels")
+    root = integer(root, "root", n)
     e_root = matrix[root, root].real
     out = np.zeros(n, dtype=np.complex128)
     out[root] = 1.0
@@ -221,7 +218,7 @@ def double_slit_pattern(C1: complex, C2: complex, d: float, L: float,
         raise ValueError("|C1|^2 + |C2|^2 must be 1")
     if not all(0 < v < np.inf for v in (d, L, kappa)):
         raise ValueError("geometry parameters must be finite and positive")
-    if not 1 <= samples <= MAX_BASIS_SIZE:
+    if not 1 <= integer(samples, "samples") <= MAX_BASIS_SIZE:
         raise ValueError(f"samples must be from 1 to {MAX_BASIS_SIZE}")
     try:  # the largest phase on the window, at either end
         half = fringe_half_width(d, L, kappa)

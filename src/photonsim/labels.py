@@ -28,6 +28,7 @@ __all__ = [
     "finite",
     "flag",
     "fmt",
+    "integer",
     "json_rows",
     "load_json",
     "reading",
@@ -36,7 +37,7 @@ __all__ = [
 
 
 class RegistryError(ValueError):
-    """Raised for malformed registry files; message cites the offending field."""
+    """Raised for a malformed input value; the message names the offending field."""
 
 
 def _unit(vec: tuple[float, ...]) -> tuple[float, float, float]:
@@ -80,8 +81,7 @@ class FockLabel:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"occupation must be a non-negative integer, got {self.n!r}")
+        object.__setattr__(self, "n", integer(self.n, "occupation"))
 
     @property
     def energy(self) -> float:
@@ -102,8 +102,8 @@ class ENLabel:
     energy: float
 
     def __post_init__(self):
-        if self.j < 0 or self.k_sub < 0:
-            raise ValueError("quantum numbers must be non-negative")
+        object.__setattr__(self, "j", integer(self.j, "j"))
+        object.__setattr__(self, "k_sub", integer(self.k_sub, "k"))
         if not math.isfinite(self.energy):
             raise ValueError("energy must be finite")
 
@@ -126,13 +126,13 @@ class PartitionScheme:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise ValueError(f"id must be a string, got {self.id!r}")
-        blocks = tuple(tuple(operator.index(i) for i in b) for b in self.blocks)
+        blocks = tuple(tuple(integer(i, "blocks entry") for i in b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         flat = sorted(i for b in blocks for i in b)
         if len(set(flat)) != len(flat):
             raise ValueError(f"partition {self.id!r}: blocks are not disjoint")
-        if not flat or flat != list(range(1, len(flat) + 1)):
-            raise ValueError(f"partition {self.id!r}: blocks must cover 1..m with no gaps")
+        if not flat or not all(blocks) or flat != list(range(1, len(flat) + 1)):
+            raise ValueError(f"partition {self.id!r}: blocks must be non-empty and cover 1..m")
 
     @property
     def m(self) -> int:
@@ -166,7 +166,7 @@ class CouplingModel:
                         and not isinstance(row[2], (list, tuple))):
                     raise ValueError(f"a row must be [i, j, re] or [i, j, re, im], got {row!r}")
                 i, j, *v = row
-                i, j = operator.index(i), operator.index(j)
+                i, j = integer(i, "i"), integer(j, "j")
                 if i == j:
                     raise ValueError(f"drive coupling ({i},{j}) must be off-diagonal")
                 value = coupling_value(v if len(v) == 2 else v[0], f"drive coupling ({i},{j})")
@@ -204,14 +204,14 @@ class Registry:
         if not isinstance(data, Mapping):
             raise RegistryError("config must be an object")
         reg = cls()
-        for what, row in json_rows(data, "levels"):
+        for what, row in json_rows(data, "levels", ("j", "k", "energy")):
             with reading(what):
-                label = ENLabel(j=operator.index(row["j"]), k_sub=operator.index(row.get("k", 0)),
+                label = ENLabel(j=row["j"], k_sub=row.get("k", 0),
                                 energy=finite(row["energy"], "energy"))
                 if label.key in reg.levels:
                     raise RegistryError(f"duplicate EN level (j={label.j}, k={label.k_sub})")
                 reg.levels[label.key] = label
-        for what, row in json_rows(data, "modes"):
+        for what, row in json_rows(data, "modes", ("id", "omega", "dir")):
             with reading(what):
                 direction = tuple(finite(v, "dir") for v in row.get("dir", (1.0, 0.0, 0.0)))
                 mode = ModeLabel(id=row["id"], omega=finite(row["omega"], "omega"),
@@ -220,10 +220,10 @@ class Registry:
                     raise RegistryError(f"duplicate mode id {mode.id!r}")
                 reg.modes[mode.id] = mode
         transitions = {}
-        for what, row in json_rows(data, "couplings"):
+        for what, row in json_rows(data, "couplings", ("from", "to", "value")):
             with reading(what):
-                a = reg.level(operator.index(row["from"][0]), operator.index(row["from"][1])).key
-                b = reg.level(operator.index(row["to"][0]), operator.index(row["to"][1])).key
+                a = reg.level(integer(row["from"][0], "from"), integer(row["from"][1], "from")).key
+                b = reg.level(integer(row["to"][0], "to"), integer(row["to"][1], "to")).key
                 value = coupling_value(row["value"])
                 if abs(transitions.get((b, a), value.conjugate()) - value.conjugate()) > 1e-12:
                     raise ValueError(f"non-Hermitian transition integral for {a} <-> {b}")
@@ -249,6 +249,19 @@ def finite(value, what: str) -> float:
         if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
             return float(value)
     raise RegistryError(f"{what} must be a finite number, got {value!r}")
+
+
+def integer(value, what: str, below: int | None = None) -> int:
+    """``value`` as an int >= 0, and below ``below`` when one is given, so an
+    index never wraps.  A bool, ``1.0`` or ``"1"`` is refused, never converted."""
+    i = value if type(value) is int else -1  # a plain int, the common case, is taken as it is
+    if type(value) is not int and not isinstance(value, bool):
+        with contextlib.suppress(TypeError):  # an integer type such as numpy's converts
+            i = operator.index(value)
+    if i >= 0 and (below is None or i < below):
+        return i
+    bound = ">= 0" if below is None else f"from 0 to {below - 1}"
+    raise RegistryError(f"{what} must be an integer {bound}, got {value!r}")
 
 
 def fmt(x: float) -> str:
@@ -292,10 +305,20 @@ def reading(what: str):
         raise RegistryError(f"{what}: {exc}") from None
 
 
-def json_rows(data: Mapping, key: str) -> list[tuple[str, dict]]:
+def _object(value, what: str, keys) -> dict:
+    """``value`` as a JSON object holding no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise RegistryError(f"{what} must be an object")
+    if unknown := sorted(set(value) - set(keys)):
+        raise RegistryError(f"{what}: unknown key {unknown[0]!r}")
+    return value
+
+
+def json_rows(data: Mapping, key: str, keys) -> list[tuple[str, dict]]:
     """The rows of the array of objects ``data[key]`` (empty when absent),
-    each with its name ``key[i]`` for ``reading``."""
+    each holding no key outside ``keys``, with its name ``key[i]`` for
+    ``reading``."""
     rows = data.get(key, [])
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise RegistryError(f"{key!r} must be an array of objects")
-    return [(f"{key}[{i}]", row) for i, row in enumerate(rows)]
+    return [(f"{key}[{i}]", _object(row, f"{key}[{i}]", keys)) for i, row in enumerate(rows)]

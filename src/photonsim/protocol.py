@@ -12,14 +12,13 @@ deterministic (advance the clock by the scripted duration) and stochastic
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dynamics import propagate
-from .labels import CouplingModel, finite, flag, fmt
+from .labels import CouplingModel, finite, flag, fmt, integer
 from .qstate import (
     DEFAULT_SUPPORT_TOL,
     EmissionRecord,
@@ -103,7 +102,7 @@ class ProtocolStep:
 
     @classmethod
     def prepare(cls, element: int, absorb: Sequence[str] = ()):
-        return cls("prepare", {"element": operator.index(element), "absorb": _absorbed(absorb)})
+        return cls("prepare", {"element": integer(element, "element"), "absorb": _absorbed(absorb)})
 
     @classmethod
     def laser_on(cls, mode: str, couplings: Sequence[tuple[int, int, complex]],
@@ -132,11 +131,12 @@ class ProtocolStep:
 
     @classmethod
     def induce(cls, pairs: Sequence[tuple[int, int]]):
-        return cls("induce", {"pairs": [(operator.index(i), operator.index(j)) for i, j in pairs]})
+        return cls("induce", {"pairs": [(integer(i, "pairs entry"), integer(j, "pairs entry"))
+                                        for i, j in pairs]})
 
     @classmethod
     def erase(cls, indices: Iterable[int], renormalize: bool = False):
-        return cls("erase", {"indices": sorted(operator.index(i) for i in indices),
+        return cls("erase", {"indices": sorted(integer(i, "indices entry") for i in indices),
                              "renormalize": flag(renormalize, "renormalize")})
 
     @classmethod
@@ -145,7 +145,7 @@ class ProtocolStep:
         R = tuple(finite(r, "R") for r in R)
         if len(R) != 3:
             raise ProtocolError("R must be 3 finite numbers")
-        return cls("decohere", {"emit": operator.index(emit), "target": operator.index(target),
+        return cls("decohere", {"emit": integer(emit, "emit"), "target": integer(target, "target"),
                                 "R": R, "renormalize": flag(renormalize, "renormalize")})
 
 
@@ -272,7 +272,7 @@ def run(
                 ledger -= np.array(rec.mode.momentum)
             for mid in p.get("absorb", ()):
                 ledger += np.array(_mode(mid).momentum)
-        except (ProtocolError, ValueError, IndexError, KeyError) as exc:
+        except (ValueError, KeyError) as exc:
             raise ProtocolStepError(step_no, step.kind, str(exc)) from exc
         entries.append(TraceEntry(step_no, step.kind, state, rec, tuple(ledger)))
     return Trace(entries)

@@ -8,14 +8,13 @@ amplitude-squared bookkeeping is exact by construction.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .basis import Basis, BasisElement, element_level
-from .labels import ModeLabel, tolerance
+from .labels import ModeLabel, integer, tolerance
 
 __all__ = [
     "DEFAULT_RESONANCE_TOL",
@@ -88,9 +87,7 @@ def window_state(b: Basis, e: BasisElement, time_tag: float = 0.0) -> QState:
 def erase(s: QState, indices: Iterable[int], renormalize: bool = False) -> QState:
     """Zero the amplitudes at the given indices; the basis is untouched
     (a response is erased, never a base state)."""
-    idx = sorted(set(operator.index(i) for i in indices))
-    if idx and (idx[0] < 0 or idx[-1] >= len(s.basis)):
-        raise IndexError(f"erase index out of range for basis of size {len(s.basis)}")
+    idx = sorted({integer(i, "erase index", len(s.basis)) for i in indices})
     amps = s.amps.copy()
     amps[idx] = 0.0
     out = QState(s.basis, amps, s.time_tag)

@@ -187,7 +187,8 @@ class TestCanonicalOrder:
         b = enumerate_basis(pair_registry, [SINGLE_PARTITE],
                             [pair_registry.mode("w")], n_max=1)
         for i in (-1, len(b)):
-            with pytest.raises(IndexError, match=f"index {i} outside basis of size {len(b)}"):
+            with pytest.raises(ValueError,
+                               match=f"basis index must be an integer from 0 to {len(b) - 1}, got {i}"):
                 b.element_at(i)
 
     def test_missing_element_raises(self, pair_registry):

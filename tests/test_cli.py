@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -321,6 +322,12 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
     _basis_config(partitions=[{"id": 7, "blocks": [[1]]}]),
     _one_step_script("wait", {"duration": 1.0, "annotation": [1, {"x": 2}]}),
     _script(steps=[{"kind": "wait", "params": {"duration": 1.0}, "parms": {}}]),
+    _basis_config(partitions=[{"id": "A0", "blocks": [[1], []]}]),
+    _basis_config(levels=[_LEVEL_0, {"j": 1, "kk": 3, "energy": 1.0}]),
+    _basis_config(modes=[{"id": "w", "omega": 1.0, "direction": [0, 1, 0]}]),
+    _basis_config(couplings=[{"from": [0, 0], "to": [1, 0], "value": 0.1, "weight": 2}]),
+    _basis_config(partitions=[{"id": "A0", "blocks": [[1]], "name": "one"}]),
+    _script(models={"couplings": [{"i": 0, "j": 1, "value": 0.2, "k": 0}]}, steps=[]),
 ], ids=["secular-coupling-outside", "anchor-index-7", "anchor-index-negative",
         "expect-not-a-list", "wait-inf", "wait-nan", "laser-duration-nan",
         "laser-coupling-nan", "decohere-R-short", "decohere-R-long", "decohere-R-nan",
@@ -347,7 +354,9 @@ _LEVEL_0 = {"j": 0, "energy": 0.0}
         "registry-couplings-disagree", "run-tol-negative", "run-tol-nan", "run-tol-inf",
         "slits-tol-nan", "slits-tol-negative", "atto-amplitudes-inf-over-inf",
         "atto-amplitudes-inf-over-inf-wide", "mode-id-null", "partition-id-number",
-        "annotation-not-string", "step-unknown-key"])
+        "annotation-not-string", "step-unknown-key", "block-empty", "level-unknown-key",
+        "mode-unknown-key", "registry-coupling-unknown-key", "partition-unknown-key",
+        "models-coupling-unknown-key"])
 def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -357,6 +366,85 @@ def test_malformed_input_exit_2_with_one_error_line(argv, tmp_path, capsys):
     assert out == ""
     err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# Valid inputs holding every integer field of the README: a basis config, an
+# explicit script over it (8 elements), secular params and a scenario script.
+_INT_CONFIG = {
+    "levels": [{"j": 0, "k": 0, "energy": 0.0}, {"j": 1, "k": 0, "energy": 1.0}],
+    "modes": [{"id": "w", "omega": 1.0}],
+    "couplings": [{"from": [0, 0], "to": [1, 0], "value": 0.1}],
+    "partitions": [{"id": "A0", "blocks": [[1]]}],
+    "n_max": 1,
+}
+_INT_SCRIPT = {
+    "basis_config": _INT_CONFIG,
+    "models": {"couplings": [{"i": 0, "j": 4, "value": 0.2}]},
+    "initial": {"element": 0},
+    "steps": [
+        {"kind": "prepare", "params": {"element": 0}},
+        {"kind": "laser_on", "params": {"mode": "w", "couplings": [[0, 1, 0.2]], "duration": 1.0}},
+        {"kind": "induce", "params": {"pairs": [[2, 3]]}},
+        {"kind": "erase", "params": {"indices": [1]}},
+        {"kind": "decohere", "params": {"emit": 0, "target": 2}},
+    ],
+}
+_INT_INPUTS = {"basis": _INT_CONFIG, "run": _INT_SCRIPT,
+               "secular": {"couplings": [[0, 1, 0.2], [1, 2, 0.2], [1, 3, 0.2]]},
+               "scenario": {"scenario": "one_photon", "params": {"outcome": 1}}}
+# field: (input, path to the value, the start of the one error line)
+_INT_FIELDS = {
+    "n_max": ("basis", ("n_max",), "n_max"),
+    "level-j": ("basis", ("levels", 1, "j"), "levels[1]: j"),
+    "level-k": ("basis", ("levels", 1, "k"), "levels[1]: k"),
+    "coupling-from": ("basis", ("couplings", 0, "from", 0), "couplings[0]: from"),
+    "coupling-to": ("basis", ("couplings", 0, "to", 1), "couplings[0]: to"),
+    "block-entry": ("basis", ("partitions", 0, "blocks", 0, 0), "partitions[0]: blocks entry"),
+    "initial-element": ("run", ("initial", "element"), "initial.element: basis index"),
+    "prepare-element": ("run", ("steps", 0, "params", "element"), "steps[0]: prepare: element"),
+    "laser-on-i": ("run", ("steps", 1, "params", "couplings", 0, 0),
+                   "steps[1]: laser_on: couplings[0]: i"),
+    "laser-on-j": ("run", ("steps", 1, "params", "couplings", 0, 1),
+                   "steps[1]: laser_on: couplings[0]: j"),
+    "induce-pairs": ("run", ("steps", 2, "params", "pairs", 0, 1), "steps[2]: induce: pairs entry"),
+    "erase-indices": ("run", ("steps", 3, "params", "indices", 0),
+                      "steps[3]: erase: indices entry"),
+    "decohere-emit": ("run", ("steps", 4, "params", "emit"), "steps[4]: decohere: emit"),
+    "decohere-target": ("run", ("steps", 4, "params", "target"), "steps[4]: decohere: target"),
+    "models-i": ("run", ("models", "couplings", 0, "i"), "couplings[0]: i"),
+    "models-j": ("run", ("models", "couplings", 0, "j"), "couplings[0]: j"),
+    "secular-i": ("secular", ("couplings", 1, 0), "couplings[1]: i"),
+    "secular-j": ("secular", ("couplings", 1, 1), "couplings[1]: j"),
+    "outcome": ("scenario", ("params", "outcome"), "params: outcome"),
+}
+
+
+def _int_argv(tmp_path, name, payload):
+    command = "run" if name == "scenario" else name
+    return [command, write(tmp_path, "in.json", payload)]
+
+
+@pytest.mark.parametrize("name", sorted(_INT_INPUTS))
+def test_integer_field_inputs_run(name, tmp_path, capsys):
+    assert main(_int_argv(tmp_path, name, _INT_INPUTS[name])) == 0
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, -1, "1"],
+                         ids=["true", "false", "float", "negative", "string"])
+@pytest.mark.parametrize("field", sorted(_INT_FIELDS))
+def test_integer_field_refuses_a_non_integer(field, value, tmp_path, capsys):
+    """A bool, a float, a negative number or a string in any integer field
+    exits 2 before any output, with one line naming the field."""
+    name, path, start = _INT_FIELDS[field]
+    payload = copy.deepcopy(_INT_INPUTS[name])
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert main(_int_argv(tmp_path, name, payload)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {start} must be an integer ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

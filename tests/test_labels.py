@@ -1,10 +1,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from photonsim.basis import PRODUCT, SINGLE_PARTITE, BasisElement, element_level
+from photonsim.basis import PRODUCT, SINGLE_PARTITE, BasisElement, element_level, enumerate_basis
+from photonsim.dynamics import double_slit_pattern, perturbative_amplitudes, propagate
 from photonsim.labels import (
     CouplingModel,
     ENLabel,
@@ -14,8 +16,11 @@ from photonsim.labels import (
     Registry,
     RegistryError,
     coupling_value,
+    integer,
     load_json,
 )
+from photonsim.qstate import QState
+from photonsim.scenarios import attosecond_init
 
 
 def en(j, k, e):
@@ -108,6 +113,11 @@ class TestPartitionScheme:
     def test_gap_rejected(self):
         with pytest.raises(ValueError):
             PartitionScheme("bad", ((1,), (3,)))
+
+    @pytest.mark.parametrize("blocks", [((1,), ()), ((), (1,)), ((1, 2), ())])
+    def test_empty_block_rejected(self, blocks):
+        with pytest.raises(ValueError, match="partition 'A': blocks must be non-empty"):
+            PartitionScheme("A", blocks)
 
 
 class TestCouplingModel:
@@ -217,3 +227,45 @@ class TestRegistry:
     def test_config_must_be_an_object(self):
         with pytest.raises(RegistryError, match="config must be an object"):
             Registry.from_dict([{"j": 0, "energy": 0.0}])
+
+
+class TestInteger:
+    @pytest.mark.parametrize("value, below", [(0, None), (7, None), (10 ** 30, None), (0, 1),
+                                              (4, 5), (np.int64(3), 4), (np.uint8(2), None)])
+    def test_accepted_as_a_plain_int(self, value, below):
+        got = integer(value, "n", below)
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, 1.5, "1", None, [1], np.float64(1.0),
+                                       np.bool_(True), -1, np.int64(-2)])
+    def test_refused(self, value):
+        with pytest.raises(RegistryError, match=r"^n must be an integer >= 0, got "):
+            integer(value, "n")
+
+    @pytest.mark.parametrize("value", [-1, 3, 4, True])
+    def test_bounded(self, value):
+        with pytest.raises(RegistryError, match=rf"^i must be an integer from 0 to 2, got {value}$"):
+            integer(value, "i", 3)
+
+
+_REG = Registry.from_dict({"levels": _TWO_LEVELS, "modes": [{"id": "w", "omega": 1.0}]})
+_BASIS = enumerate_basis(_REG, [SINGLE_PARTITE], [], n_max=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FockLabel(ModeLabel("w", 1.0), True),
+    lambda: ENLabel(1.5, 0, 0.0),
+    lambda: ENLabel(True, 0, 0.0),
+    lambda: enumerate_basis(_REG, [SINGLE_PARTITE], [_REG.mode("w")], n_max=True),
+    lambda: attosecond_init(100.0, 1.0, 1.0, True, _REG),
+    lambda: double_slit_pattern(1.0, 0.0, d=5.0, L=100.0, kappa=2.0, samples=True),
+    lambda: _BASIS.element_at(True),
+    lambda: perturbative_amplitudes(np.diag([0.0, 1.0]), True),
+    lambda: propagate(QState(_BASIS, [1.0, 0.0]), CouplingModel(((3, 1, 0.2),)), 0.1),
+], ids=["fock-n-true", "en-j-fraction", "en-j-true", "n-max-true", "n-harmonics-true",
+        "samples-true", "element-at-true", "root-true", "drive-term-3-1"])
+def test_library_reads_integers_through_one_reader(call):
+    """A bool or fractional count or index, and a hand-built drive term
+    outside the basis, are refused by ``labels.integer`` with a ``ValueError``."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
