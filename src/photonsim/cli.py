@@ -159,10 +159,8 @@ def cmd_secular(args) -> int:
     levels = [finite(x, f"levels[{i}]") for i, x in enumerate(params["levels"])]
     n = len(levels)
     H = hamiltonian_matrix(np.array(levels), CouplingModel.from_rows(params["couplings"]))
-    if args.anchor_index is not None:
-        anchor = levels[integer(args.anchor_index, "--anchor-index", n)]
-    else:
-        anchor = finite(params["anchor"], "anchor")
+    anchor = (levels[integer(args.anchor_index, "--anchor-index", n)]
+              if args.anchor_index is not None else finite(params["anchor"], "anchor"))
     threshold = finite(params["threshold"], "threshold")
     sol = solve_secular(H, anchor)
     mags = np.abs(sol.root_vector)

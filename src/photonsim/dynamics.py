@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import MAX_BASIS_SIZE, Basis
-from .labels import CouplingModel, finite, integer, tolerance
+from .labels import CouplingModel, RegistryError, finite, integer, tolerance
 from .qstate import QState
 
 __all__ = [
@@ -108,8 +108,10 @@ def _drive_block(levels: np.ndarray, cm: CouplingModel) -> tuple[np.ndarray, np.
     to them: their levels on the diagonal, the drive terms off it.  Every
     drive pair, zero-valued ones too, must lie inside the levels."""
     for i, j, _ in cm.terms:
-        for k in (i, j):
-            integer(k, f"drive coupling ({i},{j}) index", len(levels))
+        try:
+            integer(i, "i", len(levels)), integer(j, "j", len(levels))
+        except RegistryError as exc:
+            raise RegistryError(f"drive coupling ({i},{j}): {exc}") from None
     terms = [(i, j, v) for i, j, v in cm.terms if v != 0]
     coupled = sorted({k for i, j, _ in terms for k in (i, j)})
     block = np.diag(levels[coupled].astype(np.complex128))
@@ -218,7 +220,7 @@ def double_slit_pattern(C1: complex, C2: complex, d: float, L: float,
         raise ValueError("|C1|^2 + |C2|^2 must be 1")
     if not all(0 < v < np.inf for v in (d, L, kappa)):
         raise ValueError("geometry parameters must be finite and positive")
-    if not 1 <= integer(samples, "samples") <= MAX_BASIS_SIZE:
+    if not 1 <= (samples := integer(samples, "samples")) <= MAX_BASIS_SIZE:
         raise ValueError(f"samples must be from 1 to {MAX_BASIS_SIZE}")
     try:  # the largest phase on the window, at either end
         half = fringe_half_width(d, L, kappa)

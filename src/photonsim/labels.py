@@ -254,10 +254,10 @@ def finite(value, what: str) -> float:
 def integer(value, what: str, below: int | None = None) -> int:
     """``value`` as an int >= 0, and below ``below`` when one is given, so an
     index never wraps.  A bool, ``1.0`` or ``"1"`` is refused, never converted."""
-    i = value if type(value) is int else -1  # a plain int, the common case, is taken as it is
-    if type(value) is not int and not isinstance(value, bool):
-        with contextlib.suppress(TypeError):  # an integer type such as numpy's converts
-            i = operator.index(value)
+    try:  # a plain int, the common case, is taken as it is; numpy's integer types convert
+        i = value if type(value) is int else -1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        i = -1
     if i >= 0 and (below is None or i < below):
         return i
     bound = ">= 0" if below is None else f"from 0 to {below - 1}"
@@ -315,9 +315,8 @@ def _object(value, what: str, keys) -> dict:
 
 
 def json_rows(data: Mapping, key: str, keys) -> list[tuple[str, dict]]:
-    """The rows of the array of objects ``data[key]`` (empty when absent),
-    each holding no key outside ``keys``, with its name ``key[i]`` for
-    ``reading``."""
+    """The rows of the array of objects ``data[key]`` (empty when absent), each
+    holding no key outside ``keys`` and named ``key[i]`` for ``reading``."""
     rows = data.get(key, [])
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise RegistryError(f"{key!r} must be an array of objects")

@@ -272,7 +272,7 @@ def run(
                 ledger -= np.array(rec.mode.momentum)
             for mid in p.get("absorb", ()):
                 ledger += np.array(_mode(mid).momentum)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, IndexError, KeyError) as exc:
             raise ProtocolStepError(step_no, step.kind, str(exc)) from exc
         entries.append(TraceEntry(step_no, step.kind, state, rec, tuple(ledger)))
     return Trace(entries)

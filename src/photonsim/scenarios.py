@@ -204,7 +204,7 @@ def one_photon_dissociation_scenario(outcome: int = 1, omega: float = 1.0,
     coupling into the B1 dissociative channel.  With drive=False the state
     stays frozen after the window preparation (no evolution without a drive).
     """
-    if integer(outcome, "outcome") not in (1, 2, 3, 4):
+    if (outcome := integer(outcome, "outcome")) not in (1, 2, 3, 4):
         raise ValueError("outcome must be an integer in 1..4")
     if finite(coupling, "coupling") <= 0:
         raise ValueError("coupling must be > 0")
@@ -274,7 +274,7 @@ def attosecond_init(center: float, width: float, spacing: float,
     center, spacing = finite(center, "center"), finite(spacing, "spacing")
     if finite(width, "width") <= 0 or width * width == 0:
         raise ValueError("width must be > 0, with a square that does not underflow to 0")
-    if integer(n_harmonics, "n_harmonics") % 2 == 0:
+    if (n_harmonics := integer(n_harmonics, "n_harmonics")) % 2 == 0:
         raise ValueError("n_harmonics must be a positive odd count")
     half = (n_harmonics - 1) // 2
     if spacing < 0 or center - half * spacing <= 0:

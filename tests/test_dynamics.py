@@ -104,12 +104,19 @@ class TestHamiltonian:
 
     def test_drive_outside_basis_rejected(self, two_level):
         for pair in [(0, 5), (-1, 0), (0, -2)]:
-            with pytest.raises(ValueError, match="must be an integer"):
-                dense(two_level, CouplingModel.from_rows([[*pair, 0.2]]))
+            if min(pair) < 0:  # refused where the row is read, before any basis exists
+                with pytest.raises(ValueError, match="must be an integer >= 0"):
+                    CouplingModel.from_rows([[*pair, 0.2]])
+            cm = CouplingModel(((*pair, 0.2),))  # hand-built, so the drive check meets it
+            message = rf"drive coupling \({pair[0]},{pair[1]}\): [ij] must be an integer from 0 to 1"
+            with pytest.raises(ValueError, match=message):
+                dense(two_level, cm)
+            with pytest.raises(ValueError, match=message):
+                propagate(QState(two_level, [1.0, 0.0]), cm, 0.1)
 
     def test_zero_drive_outside_basis_rejected(self, two_level):
         cm = CouplingModel.from_rows([[0, 5, 0.0]])
-        message = r"drive coupling \(0,5\) index must be an integer from 0 to 1, got 5"
+        message = r"drive coupling \(0,5\): j must be an integer from 0 to 1, got 5"
         with pytest.raises(ValueError, match=message):
             dense(two_level, cm)
         with pytest.raises(ValueError, match=message):

@@ -20,7 +20,7 @@ from photonsim.labels import (
     load_json,
 )
 from photonsim.qstate import QState
-from photonsim.scenarios import attosecond_init
+from photonsim.scenarios import attosecond_init, one_photon_dissociation_scenario
 
 
 def en(j, k, e):
@@ -262,10 +262,23 @@ _BASIS = enumerate_basis(_REG, [SINGLE_PARTITE], [], n_max=0)
     lambda: _BASIS.element_at(True),
     lambda: perturbative_amplitudes(np.diag([0.0, 1.0]), True),
     lambda: propagate(QState(_BASIS, [1.0, 0.0]), CouplingModel(((3, 1, 0.2),)), 0.1),
+    lambda: one_photon_dissociation_scenario(outcome=True),
 ], ids=["fock-n-true", "en-j-fraction", "en-j-true", "n-max-true", "n-harmonics-true",
-        "samples-true", "element-at-true", "root-true", "drive-term-3-1"])
+        "samples-true", "element-at-true", "root-true", "drive-term-3-1", "outcome-true"])
 def test_library_reads_integers_through_one_reader(call):
     """A bool or fractional count or index, and a hand-built drive term
     outside the basis, are refused by ``labels.integer`` with a ``ValueError``."""
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+def test_library_keeps_the_int_it_read():
+    """A numpy integer count is read as a plain ``int``, and that ``int`` is
+    what the library keeps: the basis metadata still serialises."""
+    scn = one_photon_dissociation_scenario(outcome=np.int64(2))
+    assert type(scn.basis.metadata["outcome"]) is int
+    assert '"outcome":2' in scn.basis.to_json()
+    state = attosecond_init(100.0, 1.0, 1.0, np.int64(3), _REG)
+    assert len(state.basis) == 3 + len(_REG.levels) - 1
+    x, _ = double_slit_pattern(1.0, 0.0, d=5.0, L=100.0, kappa=2.0, samples=np.int64(5))
+    assert len(x) == 5

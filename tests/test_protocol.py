@@ -130,6 +130,20 @@ class TestRunBasics:
         scn = lambda_scenario()
         with pytest.raises(ValueError, match=r"couplings\[0\]: i must be an integer >= 0, got -1"):
             run(scn.initial, [ProtocolStep.laser_on("w10", [(-1, 0, 0.2)], 1.0)])
+        # a step built without the constructor meets the drive check when it runs
+        step = ProtocolStep("laser_on", {"mode": "w10", "couplings": CouplingModel(((-1, 0, 0.2),)),
+                                         "duration": 1.0})
+        with pytest.raises(ProtocolStepError, match=r"drive coupling \(-1,0\): i must be") as exc:
+            run(scn.initial, [step])
+        assert exc.value.step_no == 1
+
+    @pytest.mark.parametrize("pair", [(1.5, 0), (0, np.float64(1.0))])
+    def test_fractional_induce_pair_fails_step(self, pair):
+        """A step built without the constructor can carry an index numpy refuses."""
+        scn = lambda_scenario()
+        with pytest.raises(ProtocolStepError) as exc:
+            run(scn.initial, [ProtocolStep("induce", {"pairs": [pair]})])
+        assert exc.value.step_no == 1
 
     def test_lifetime_wait_outside_stochastic_fails(self):
         scn = lambda_scenario()
